@@ -10,31 +10,21 @@ families (template level).  Differences are listed, never reconciled.
 import argparse
 import sys
 
-from braidsub.presets import derived_presentation, instantiate
-from braidsub.rewriting import assemble, canon_key
+from braidsub.rewriting import compare_catalog
 from braidsub.tietze import SCRIPTS, run_script
 
 
 def catalog_side(group: str, n: int, window) -> int:
-    assembled = assemble(group, n)
-    stated = derived_presentation(group, n)
-    mine = {}
-    for label, w in instantiate(assembled, window).relators:
-        mine.setdefault(canon_key(w), []).append(label)
-    theirs = {}
-    for label, w in instantiate(stated, window).relators:
-        theirs.setdefault(canon_key(w), []).append(label)
-    extra = sorted(lbl for k in mine.keys() - theirs.keys() for lbl in mine[k])
-    missing = sorted(lbl for k in theirs.keys() - mine.keys() for lbl in theirs[k])
+    cmp = compare_catalog(group, n, window)
     print("%s n=%d window [%d, %d]: derived %d, stated %d -> %s"
           % (group, n, window[0], window[1],
-             sum(map(len, mine.values())), sum(map(len, theirs.values())),
-             "MATCH" if not extra and not missing else "MISMATCH"))
-    for lbl in extra:
+             cmp["derived_instances"], cmp["stated_instances"],
+             "MATCH" if cmp["match"] else "MISMATCH"))
+    for lbl in cmp["extra"]:
         print("  extra:   %s" % lbl)
-    for lbl in missing:
+    for lbl in cmp["missing"]:
         print("  missing: %s" % lbl)
-    return 0 if not extra and not missing else 1
+    return 0 if cmp["match"] else 1
 
 
 def script_side(name: str) -> int:

@@ -28,7 +28,6 @@ from . import abelianize as ab
 from . import presets, rewriting, tietze
 from .errors import BraidsubError, ParseError
 from .presets import instantiate, print_finite, print_presentation
-from .rewriting import canon_key
 from .words import print_word
 
 
@@ -83,18 +82,10 @@ def cmd_present(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _window_keys(p, window) -> dict:
-    fp = instantiate(p, window)
-    out: dict = {}
-    for label, w in fp.relators:
-        out.setdefault(canon_key(w), []).append(label)
-    return out
-
-
 def cmd_derive(args) -> int:
     group = args.group or "vb"
-    assembled = rewriting.assemble(group, args.n)
     if not args.compare_paper:
+        assembled = rewriting.assemble(group, args.n)
         if args.format == "json":
             obj = {
                 "group": group,
@@ -105,11 +96,7 @@ def cmd_derive(args) -> int:
         else:
             sys.stdout.write(print_presentation(assembled))
         return 0
-    stated = presets.derived_presentation(group, args.n)
-    mine = _window_keys(assembled, args.window)
-    theirs = _window_keys(stated, args.window)
-    extra = sorted(lbl for key in mine.keys() - theirs.keys() for lbl in mine[key])
-    missing = sorted(lbl for key in theirs.keys() - mine.keys() for lbl in theirs[key])
+    comparison = rewriting.compare_catalog(group, args.n, args.window)
     notes = sorted(
         "%s: %s" % (fam.label, fam.note)
         for fam in presets.main_families(group)
@@ -119,11 +106,7 @@ def cmd_derive(args) -> int:
         "group": group,
         "n": args.n,
         "window": list(args.window),
-        "derived_instances": sum(len(v) for v in mine.values()),
-        "stated_instances": sum(len(v) for v in theirs.values()),
-        "extra": extra,
-        "missing": missing,
-        "match": not extra and not missing,
+        **comparison,
         "notes": notes,
     }
     if args.format == "json":
@@ -133,9 +116,9 @@ def cmd_derive(args) -> int:
             "derived %d instances, stated %d, window [%d, %d]\n"
             % (obj["derived_instances"], obj["stated_instances"], *args.window)
         )
-        for lbl in extra:
+        for lbl in obj["extra"]:
             sys.stdout.write("extra: %s\n" % lbl)
-        for lbl in missing:
+        for lbl in obj["missing"]:
             sys.stdout.write("missing: %s\n" % lbl)
         for note in notes:
             sys.stdout.write("note: %s\n" % note)
@@ -265,14 +248,7 @@ def cmd_abelianize(args) -> int:
     group = args.group or "vb"
     if args.reduced and args.derived:
         raise ParseError("--reduced and --derived are mutually exclusive")
-    # The reduced catalog is the default: its relator families have small
-    # index spans, so truncation windows reproduce the stabilized invariants
-    # without edge artifacts.  --derived selects the full catalog instead.
-    if args.derived:
-        p = presets.derived_presentation(group, args.n)
-    else:
-        p = presets.reduced_presentation(group, args.n)
-    res = ab.abelianization(p, args.window)
+    res = ab.abelian_invariants(group, args.n, args.window, reduced=not args.derived)
     obj = {
         "torsion": res["torsion"],
         "free_rank": res["free_rank"],
@@ -441,6 +417,8 @@ def cmd_report(args) -> int:
     else:
         for r in obj["rows"]:
             sys.stdout.write("%-4s %-16s %s\n" % (r["status"], r["claim"], r["statement"]))
+            if r["status"] != "pass":
+                sys.stdout.write("     evidence: %s\n" % json.dumps(r["evidence"], sort_keys=True))
         sys.stdout.write("overall: %s\n" % ("pass" if obj["pass"] else "FAIL"))
     return 0 if obj["pass"] else 1
 

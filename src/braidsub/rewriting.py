@@ -286,55 +286,50 @@ def catalog_substitutions(w: Word, group: str) -> Word:
     return w
 
 
-def _syllable_order(sym: Symbol) -> Optional[int]:
-    if sym.family == "f":
-        return 3
-    if sym.family == "g":
-        return 2
-    return None
+_TORSION_ORDER = {"f": 3, "g": 2}
 
 
-def _merge_pass(letters) -> tuple:
-    out: list = []
-    i = 0
-    n = len(letters)
-    while i < n:
-        sym = letters[i][0]
-        total = 0
-        while i < n and letters[i][0] == sym:
-            total += letters[i][1]
-            i += 1
-        order = _syllable_order(sym)
-        if order is not None:
-            total %= order
-            if order == 3 and total == 2:
-                total = -1
-        sign = 1 if total > 0 else -1
-        out.extend([(sym, sign)] * abs(total))
-    return tuple(out)
+def torsion_merge(letters: tuple) -> tuple:
+    """Merge runs of one template letter until nothing changes: f letters
+    count modulo three (a residue of two becoming one inverse letter), g
+    letters modulo two, other letters are only freely reduced."""
+    while True:
+        out: list = []
+        i = 0
+        while i < len(letters):
+            key = letters[i][:2]
+            total = 0
+            while i < len(letters) and letters[i][:2] == key:
+                total += letters[i][2]
+                i += 1
+            order = _TORSION_ORDER.get(key[0])
+            if order is not None:
+                total %= order
+                if order == 3 and total == 2:
+                    total = -1
+            out.extend([key + (1 if total > 0 else -1,)] * abs(total))
+        merged = tuple(out)
+        if merged == letters:
+            return merged
+        letters = merged
 
 
 def torsion_normalize(w: Word) -> Word:
     """Cyclic normal form with f letters of order three, g letters of
     order two.  The result is only meant for cyclic comparison."""
-    letters = w.letters
+    letters = lift(w).letters
     for _ in range(len(letters) + 1):
-        prev = None
-        while prev != letters:
-            prev = letters
-            letters = _merge_pass(letters)
-        if len(letters) >= 2 and letters[0][0] == letters[-1][0]:
-            sym = letters[-1][0]
-            k = 0
-            while k < len(letters) and letters[-1 - k][0] == sym:
-                k += 1
-            if k == len(letters):
-                letters = _merge_pass(letters)
-                break
-            letters = letters[-k:] + letters[:-k]
-        else:
+        letters = torsion_merge(letters)
+        if len(letters) < 2 or letters[0][:2] != letters[-1][:2]:
             break
-    return Word(letters)
+        key = letters[-1][:2]
+        k = 0
+        while k < len(letters) and letters[-1 - k][:2] == key:
+            k += 1
+        if k == len(letters):
+            break
+        letters = letters[-k:] + letters[:-k]
+    return TemplateWord(letters).instantiate()
 
 
 def compare_words(engine: Word, stated: Word, group: str) -> tuple[str, str]:
@@ -561,6 +556,31 @@ def assemble(group: str, n: int, eliminate_square_bit: bool = True) -> presets.P
         gens += [presets.GeneratorFamily("f", (1,))]
     gens += [presets.GeneratorFamily("g", (l,)) for l in range(3, n)]
     return presets.Presentation(group, n, tuple(gens), tuple(instances))
+
+
+def compare_catalog(group: str, n: int, window: tuple[int, int]) -> dict:
+    """Compare the assembled catalog with the stated one, instance by
+    instance over a window, up to the cyclic canonical form.
+
+    ``extra`` lists the labels of derived instances the stated catalog
+    lacks, ``missing`` the converse.
+    """
+    sides = []
+    for p in (assemble(group, n), presets.derived_presentation(group, n)):
+        keys: dict[tuple, list[str]] = {}
+        for label, w in presets.instantiate(p, window).relators:
+            keys.setdefault(canon_key(w), []).append(label)
+        sides.append(keys)
+    mine, theirs = sides
+    extra = sorted(lbl for key in mine.keys() - theirs.keys() for lbl in mine[key])
+    missing = sorted(lbl for key in theirs.keys() - mine.keys() for lbl in theirs[key])
+    return {
+        "derived_instances": sum(map(len, mine.values())),
+        "stated_instances": sum(map(len, theirs.values())),
+        "extra": extra,
+        "missing": missing,
+        "match": not extra and not missing,
+    }
 
 
 # Design-level name for the catalog assembly entry point.

@@ -29,8 +29,8 @@ from typing import Callable, Optional
 from . import presets
 from .errors import BadRank, NotSolvable, ScriptPreconditionFailed
 from .presets import FamilyInstance, GeneratorSummary, Presentation, generator_count
-from .rewriting import template_canon_key
-from .words import TemplateWord, parse_template, print_template
+from .rewriting import template_canon_key, torsion_merge
+from .words import TemplateWord, print_template
 
 # ---------------------------------------------------------------------------
 # Presentation surgery helpers
@@ -86,21 +86,27 @@ def _offset(letter) -> int:
 
 
 def _g_square(strand: int, off: int) -> TemplateWord:
-    return parse_template("g(m,%d) g(m,%d)" % (strand, strand)).shift(off)
+    return presets.CATALOG_FAMILIES["g-involution"].template.bind(i=strand).shift(off)
 
 
 def _fg_braid(off: int) -> TemplateWord:
-    return parse_template(
-        "f(m,0) g(m,3) f(m,0) g(m,3) f(m,0) g(m,3)"
-    ).shift(off)
+    return presets.CATALOG_FAMILIES["f-g3-braid"].template.shift(off)
 
 
-_F_CUBE = parse_template("f(m,0) f(m,0) f(m,0)")
+_F_CUBE = presets.CATALOG_FAMILIES["f-cube"].template
 
 
 # ---------------------------------------------------------------------------
 # Elimination and seeds
 # ---------------------------------------------------------------------------
+
+
+def _solve_at(t: TemplateWord, idx: int) -> TemplateWord:
+    """The word that the letter at ``idx`` equals, by the relator ``t``."""
+    exp = t.letters[idx][2]
+    left = TemplateWord(t.letters[:idx])
+    right = TemplateWord(t.letters[idx + 1 :])
+    return left.inverse() * right.inverse() if exp == 1 else right * left
 
 
 def _solved_form(t: TemplateWord, family: str, fixed: tuple) -> tuple[TemplateWord, int]:
@@ -115,13 +121,8 @@ def _solved_form(t: TemplateWord, family: str, fixed: tuple) -> tuple[TemplateWo
             "%s%s occurs %d times in %s"
             % (family, fixed, len(hits), print_template(t))
         )
-    idx = hits[0]
-    off = _offset(t.letters[idx])
-    exp = t.letters[idx][2]
-    left = TemplateWord(t.letters[:idx])
-    right = TemplateWord(t.letters[idx + 1 :])
-    solved = left.inverse() * right.inverse() if exp == 1 else right * left
-    return solved.shift(-off), off
+    off = _offset(t.letters[hits[0]])
+    return _solve_at(t, hits[0]).shift(-off), off
 
 
 def solve_for(t: TemplateWord, family: str, fixed: tuple = ()) -> TemplateWord:
@@ -428,7 +429,6 @@ def rewrite_letter(
     inst = _relator(p, label)
     via_inst = _relator(p, via)
     vt = via_inst.template.shift(via_shift)
-    want = tuple((None, v) for v in fixed)
     hits = [
         i
         for i in _target_letters(vt, family, fixed)
@@ -439,11 +439,7 @@ def rewrite_letter(
             "%s shifted by %d mentions %s%s at offset %d %d times"
             % (via, via_shift, family, fixed, offset, len(hits))
         )
-    idx = hits[0]
-    exp = vt.letters[idx][2]
-    left = TemplateWord(vt.letters[:idx])
-    right = TemplateWord(vt.letters[idx + 1 :])
-    solved = left.inverse() * right.inverse() if exp == 1 else right * left
+    solved = _solve_at(vt, hits[0])
     spots = [
         i
         for i in _target_letters(inst.template, family, fixed)
@@ -468,44 +464,10 @@ def rewrite_letter(
     return _with_template(p, label, new), record
 
 
-def _torsion_merge_template(t: TemplateWord) -> TemplateWord:
-    def order_of(fam: str) -> Optional[int]:
-        if fam == "f":
-            return 3
-        if fam == "g":
-            return 2
-        return None
-
-    letters = t.letters
-    while True:
-        out = []
-        i = 0
-        n = len(letters)
-        while i < n:
-            fam, exprs, _ = letters[i]
-            total = 0
-            j = i
-            while j < n and letters[j][0] == fam and letters[j][1] == exprs:
-                total += letters[j][2]
-                j += 1
-            order = order_of(fam)
-            if order is not None:
-                total %= order
-                if order == 3 and total == 2:
-                    total = -1
-            sign = 1 if total > 0 else -1
-            out.extend([(fam, exprs, sign)] * abs(total))
-            i = j
-        new = TemplateWord(out)
-        if new.letters == letters:
-            return new
-        letters = new.letters
-
-
 def torsion_reduce_relator(p: Presentation, label: str):
     """Merge torsion syllables (f mod three, g mod two) in one relator."""
     inst = _relator(p, label)
-    new = _torsion_merge_template(inst.template)
+    new = TemplateWord(torsion_merge(inst.template.letters))
     if new == inst.template:
         record = {"op": "row", "label": label, "text": "torsion merge on %s: no change" % label}
         return p, record

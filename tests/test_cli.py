@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from braidsub import cli
 from braidsub.cli import main
 
 
@@ -131,6 +132,15 @@ def test_abelianize_catalog_flags(capsys):
     assert json.loads(out)["torsion"] == [3, 3]
 
 
+def test_abelianize_rejects_narrow_window(capsys):
+    # a window this narrow drops relator families: vb5 is perfect, yet the
+    # truncation alone would report a free factor
+    code, out, err = run(capsys, "abelianize", "--n", "5", "--window", "0..0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window [0, 0] instantiates no ")
+
+
 def test_tietze_transcript(capsys):
     code, out, _ = run(capsys, "tietze", "--script", "wbn_reduce", "--n", "5")
     assert code == 0
@@ -208,6 +218,22 @@ def test_report(capsys, outdir):
     assert code == 0
     assert text.endswith("overall: pass\n")
     assert all(line.startswith("pass") for line in text.splitlines()[:-1])
+
+
+def test_report_text_shows_evidence_of_failing_rows(capsys, monkeypatch):
+    rows = [
+        {"claim": "Theorem 1.1", "statement": "s", "status": "FAIL", "evidence": {"counts": {"4": 6}}},
+        {"claim": "Cor 1.2(1)", "statement": "t", "status": "pass", "evidence": {"x": 1}},
+    ]
+    monkeypatch.setattr(cli, "build_report", lambda: {"rows": rows, "pass": False})
+    code, out, _ = run(capsys, "report")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL Theorem 1.1      s",
+        '     evidence: {"counts": {"4": 6}}',
+        "pass Cor 1.2(1)       t",
+        "overall: FAIL",
+    ]
 
 
 def test_outputs_are_deterministic(capsys):

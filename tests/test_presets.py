@@ -10,6 +10,7 @@ import pytest
 from braidsub.cosets import ORIGIN, phi
 from braidsub.errors import BadRank, EmptyWindow, ParseError
 from braidsub.presets import (
+    CATALOG_FAMILIES,
     GeneratorFamily,
     LEMMA_IDS,
     LEMMA_TABLES,
@@ -243,6 +244,27 @@ def test_lemma_tables_are_consistent():
                 # binding must fully close the template
                 w = table[idx].template.bind(**aux).instantiate(m=0)
                 assert len(w) > 0
+
+
+def test_statement_tables_reference_the_catalog():
+    order = ("L3", "L5", "L7", "L8", "L8_1", "L10", "L12", "L5_2")
+    tables = [LEMMA_TABLES[lemma][1] for lemma in order]
+    assert tuple(len(t) for t in tables) == (4, 6, 2, 4, 5, 7, 5, 6)
+    catalog = {fam.label: fam for fam in main_families("wb")}
+    assert catalog == CATALOG_FAMILIES
+    shapes = {(fam.template, fam.domain) for fam in catalog.values()}
+    referenced = 0
+    for table in tables:
+        for fam in table:
+            ref = catalog.get(fam.label)
+            if ref is not None and (fam.text, fam.domain) == (ref.text, ref.domain):
+                # a reference resolved to its catalog family, without the note
+                assert fam.note == ""
+                referenced += 1
+            else:
+                # a spelled-out statement must differ from every catalog family
+                assert (fam.template, fam.domain) not in shapes, fam.label
+    assert referenced == 24
 
 
 def test_expand_families_domains():

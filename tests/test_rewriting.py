@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from braidsub.cosets import ORIGIN, phi
 from braidsub.errors import NotInKernel, ParseError
-from braidsub.presets import ambient_families, derived_presentation
+from braidsub.presets import (
+    FamilyInstance,
+    GeneratorFamily,
+    Presentation,
+    ambient_families,
+    derived_presentation,
+)
 from braidsub.rewriting import (
     assemble,
     assemble_derived_presentation,
@@ -36,6 +42,7 @@ from braidsub.rewriting import (
     twist,
     verify_lemma,
 )
+from braidsub.tietze import torsion_reduce_relator
 from braidsub.words import (
     Symbol,
     Word,
@@ -263,6 +270,23 @@ def test_torsion_normalize():
         torsion_normalize(parse_word("f(0,0) a(0) f(0,0) f(0,0)")),
         parse_word("a(0)"),
     )
+    # one merge serves both the word comparison and the Tietze step
+    text = "a(m) f(m,0) f(m,0) g(m,3) g(m,3) b(m,0)"
+    merged = "a(m) f(m,0)^-1 b(m,0)"
+    w = parse_template(text).instantiate(m=0)
+    assert torsion_normalize(w) == parse_template(merged).instantiate(m=0)
+    p = Presentation(
+        "vb",
+        4,
+        (GeneratorFamily("a"), GeneratorFamily("b", (0,)), GeneratorFamily("f", (0,)), GeneratorFamily("g", (3,))),
+        (
+            FamilyInstance("cube", parse_template("f(m,0) f(m,0) f(m,0)")),
+            FamilyInstance("square", parse_template("g(m,3) g(m,3)")),
+            FamilyInstance("r", parse_template(text)),
+        ),
+    )
+    p1, _ = torsion_reduce_relator(p, "r")
+    assert print_template(p1.relators[2].template) == merged
 
 
 def test_catalog_substitutions():
