@@ -55,3 +55,7 @@ class ParametricInput(BraidsubError):
 
 class ShapeMismatch(BraidsubError):
     """Presentation does not have the shape the operation expects."""
+
+
+class NotConverged(BraidsubError):
+    """A normalisation did not reach its fixpoint within its bound."""

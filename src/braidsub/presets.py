@@ -20,6 +20,7 @@ Strand conventions: braid letters ``s1 .. s(n-1)``, symmetric letters
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -231,7 +232,7 @@ class RelatorFamily:
     domain: DomainFn = _always
     note: str = ""
 
-    @property
+    @functools.cached_property
     def template(self) -> TemplateWord:
         return parse_template(self.text)
 

@@ -25,8 +25,9 @@ from .cosets import (
     schreier_generator,
     step,
 )
-from .errors import NotInKernel, ParseError
+from .errors import NotConverged, NotInKernel, ParseError
 from .words import (
+    _FAMILY_RANK,
     M_FAMILIES,
     Symbol,
     TemplateWord,
@@ -76,10 +77,12 @@ def expand_raw(slots: Iterable[Slot]) -> Word:
     inverse), and is a representative-conjugated trivial move when the
     slot emitted nothing.
     """
-    out = Word()
+    out: list = []
     for _, x, exp, pre, post in slots:
-        out = out * representative(pre) * Word([(x, exp)]) * representative(post).inverse()
-    return out
+        out.extend(representative(pre).letters)
+        out.append((x, exp))
+        out.extend(representative(post).inverse().letters)
+    return Word(out)
 
 
 def rewrite(w: Word) -> Word:
@@ -101,11 +104,11 @@ def expand_word(w: Word, mode: str = "closed") -> Word:
     """
     if mode not in ("closed", "defining"):
         raise ParseError("unknown expansion mode %r" % mode)
-    out = Word()
+    out: list = []
     for sym, exp in w:
         piece = closed_form(sym) if mode == "closed" else expansion(sym)
-        out = out * (piece if exp == 1 else piece.inverse())
-    return out
+        out.extend((piece if exp == 1 else piece.inverse()).letters)
+    return Word(out)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +125,11 @@ def rho1_rule(sym: Symbol) -> Word:
 
 def twist(w: Word) -> Word:
     """Conjugate a subgroup word by the first symmetric letter, letterwise."""
-    out = Word()
+    out: list = []
     for sym, exp in w:
         rule = rho1_rule(sym)
-        out = out * (rule if exp == 1 else rule.inverse())
-    return out
+        out.extend((rule if exp == 1 else rule.inverse()).letters)
+    return Word(out)
 
 
 # ---------------------------------------------------------------------------
@@ -163,62 +166,68 @@ def derive_relation_direct(r: Word, m: int = 0, twisted: bool = False) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _letter_key(letter) -> tuple:
-    sym, exp = letter
-    return sym.key() + (exp,)
+def _least_rotation(keys: tuple) -> tuple:
+    """The lexicographically least rotation of a tuple, in linear time.
+
+    Booth's algorithm (K. S. Booth, Lexicographically least circular
+    substrings, Inf. Proc. Letters 10(4), 1980): a failure function over
+    the doubled sequence, reset whenever a smaller start ``k`` turns up.
+    """
+    s = keys + keys
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and sj != s[k]:
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return keys[k:] + keys[:k]
 
 
-def _gnorm(letters) -> tuple:
-    # Involution letters compare sign-blind: flip negative g letters.
-    return tuple(
-        (sym, 1) if sym.family == "g" and exp == -1 else (sym, exp)
-        for sym, exp in letters
-    )
-
-
-def canon_key(w: Word) -> tuple:
-    """A cyclic canonical key: minimal rotation of the word or its inverse.
+def _cyclic_key(keys: tuple) -> tuple:
+    """Least rotation of a cyclic word or of its inverse, given the word's
+    letter keys ``(rank, family, indices, exp)``.
 
     Involution letters are compared with a fixed positive sign, without
     free cancellation of the flipped letters, so that spellings that
     differ only in inverse involution letters collide.
     """
+    fwd = tuple(key[:3] + (1,) if key[1] == "g" else key for key in keys)
+    bwd = tuple(key if key[1] == "g" else key[:3] + (-key[3],) for key in reversed(fwd))
+    return min(_least_rotation(fwd), _least_rotation(bwd))
+
+
+def canon_key(w: Word) -> tuple:
+    """A cyclic canonical key: minimal rotation of the word or its inverse."""
     w = w.cyclic_reduce()
     if not w:
         return ()
-    best = None
-    for base in (w, w.inverse()):
-        letters = _gnorm(base.letters)
-        n = len(letters)
-        for k in range(n):
-            cand = letters[k:] + letters[:k]
-            key = tuple(_letter_key(l) for l in cand)
-            if best is None or key < best:
-                best = key
-    return best
+    return _cyclic_key(tuple(sym.key() + (exp,) for sym, exp in w))
 
 
 def canon_equal(u: Word, v: Word) -> bool:
     return canon_key(u) == canon_key(v)
 
 
-def _texpr_key(expr) -> tuple:
-    var, off = expr
-    return (0, "", off) if var is None else (1, var, off)
-
-
 def _tletter_key(letter) -> tuple:
     fam, exprs, exp = letter
-    from .words import _FAMILY_RANK
-
     return (
         _FAMILY_RANK.get(fam, 99),
         fam,
-        tuple(_texpr_key(e) for e in exprs),
+        tuple((0, "", off) if var is None else (1, var, off) for var, off in exprs),
         exp,
     )
 
 
+@functools.lru_cache(maxsize=None)
 def template_canon_key(t: TemplateWord) -> tuple:
     """Template analogue of canon_key, shift-normalized in the window."""
     offs = t.m_offsets()
@@ -226,40 +235,29 @@ def template_canon_key(t: TemplateWord) -> tuple:
         t = t.shift(-min(offs))
     letters = t.letters
     # cyclic reduction at the template level
-    while len(letters) >= 2 and letters[0][:2] == letters[-1][:2] and letters[0][2] == -letters[-1][2]:
-        letters = letters[1:-1]
-    if not letters:
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i][:2] == letters[j - 1][:2] and letters[i][2] == -letters[j - 1][2]:
+        i += 1
+        j -= 1
+    if i == j:
         return ()
-    fwd = tuple(
-        (fam, exprs, 1) if fam == "g" and exp == -1 else (fam, exprs, exp)
-        for fam, exprs, exp in letters
-    )
-    bwd = tuple(
-        (fam, exprs, 1) if fam == "g" and exp == 1 else (fam, exprs, -exp)
-        for fam, exprs, exp in reversed(letters)
-    )
-    best = None
-    for letters in (fwd, bwd):
-        n = len(letters)
-        for k in range(n):
-            cand = letters[k:] + letters[:k]
-            key = tuple(_tletter_key(l) for l in cand)
-            if best is None or key < best:
-                best = key
-    return best
+    return _cyclic_key(tuple(_tletter_key(l) for l in letters[i:j]))
 
 
 # ---------------------------------------------------------------------------
 # Comparison tiers
 # ---------------------------------------------------------------------------
 
-_SUB_TARGETS = ("b", "f1", "a")
-
 
 def catalog_substitutions(w: Word, group: str) -> Word:
     """Rewrite b letters, second-bit f letters and (welded) a letters
-    through their catalog spellings in the f and a families."""
-    for _ in range(4):
+    through their catalog spellings in the f and a families.
+
+    Runs until nothing changes, which takes at most three passes: b and
+    second-bit f letters become f(m,0) and a letters, welded a letters
+    become f(m,0) letters, and f(m,0) letters stay.
+    """
+    while True:
         out = []
         changed = False
         for sym, exp in w:
@@ -280,10 +278,9 @@ def catalog_substitutions(w: Word, group: str) -> Word:
             else:
                 changed = True
                 out.extend(rep.letters if exp == 1 else rep.inverse().letters)
-        w = Word(out)
         if not changed:
-            break
-    return w
+            return w
+        w = Word(out)
 
 
 _TORSION_ORDER = {"f": 3, "g": 2}
@@ -316,7 +313,11 @@ def torsion_merge(letters: tuple) -> tuple:
 
 def torsion_normalize(w: Word) -> Word:
     """Cyclic normal form with f letters of order three, g letters of
-    order two.  The result is only meant for cyclic comparison."""
+    order two.  The result is only meant for cyclic comparison.
+
+    Every rotation that does not end the loop shortens the word, so the
+    loop ends within len + 1 rounds; NotConverged guards that bound.
+    """
     letters = lift(w).letters
     for _ in range(len(letters) + 1):
         letters = torsion_merge(letters)
@@ -329,6 +330,8 @@ def torsion_normalize(w: Word) -> Word:
         if k == len(letters):
             break
         letters = letters[-k:] + letters[:-k]
+    else:
+        raise NotConverged("torsion normal form of %s did not settle" % print_word(w))
     return TemplateWord(letters).instantiate()
 
 

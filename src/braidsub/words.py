@@ -179,10 +179,7 @@ class Word:
         if k == 0:
             return Word()
         base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        return Word(base.letters * abs(k))
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
@@ -235,14 +232,6 @@ class Word:
         while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
             letters = letters[1:-1]
         return Word(letters)
-
-    def rotations(self) -> Iterator[tuple[Letter, ...]]:
-        n = len(self.letters)
-        if n == 0:
-            yield ()
-            return
-        for k in range(n):
-            yield self.letters[k:] + self.letters[:k]
 
 
 def word(*letters) -> Word:

@@ -276,3 +276,12 @@ def test_expand_families_domains():
     flags = {inst.label: inst.windowed() for inst in insts}
     assert flags["c-c-commute[i=3,j=5]"] is False
     assert flags["f-cube"] is True
+
+
+def test_family_template_is_parsed_once():
+    fam = CATALOG_FAMILIES["f-cube"]
+    before = hash(fam)
+    assert fam.template is fam.template
+    assert print_template(fam.template) == fam.text
+    # the cached parse leaves the dataclass's equality and hash alone
+    assert hash(fam) == before and fam == CATALOG_FAMILIES["f-cube"]

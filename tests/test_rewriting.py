@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidsub.cosets import ORIGIN, phi
-from braidsub.errors import NotInKernel, ParseError
+from braidsub import rewriting
+from braidsub.cosets import ORIGIN, closed_form, expansion, phi, representative
+from braidsub.errors import NotConverged, NotInKernel, ParseError
 from braidsub.presets import (
     FamilyInstance,
     GeneratorFamily,
@@ -44,7 +45,9 @@ from braidsub.rewriting import (
 )
 from braidsub.tietze import torsion_reduce_relator
 from braidsub.words import (
+    _FAMILY_RANK,
     Symbol,
+    TemplateWord,
     Word,
     a,
     f,
@@ -98,6 +101,23 @@ def test_not_in_kernel():
 def test_slot_expansion_telescopes(letters):
     w = kernel_word(letters)
     assert expand_raw(rewrite_slots(w)) == w
+
+
+def fold(pieces):
+    """Oracle: the left fold of Word products, one piece at a time."""
+    out = Word()
+    for piece in pieces:
+        out = out * piece
+    return out
+
+
+@given(ambient_letters)
+def test_linear_expand_raw_matches_product_fold(letters):
+    slots = rewrite_slots(kernel_word(letters))
+    assert expand_raw(slots) == fold(
+        representative(pre) * Word([(x, exp)]) * representative(post).inverse()
+        for _, x, exp, pre, post in slots
+    )
 
 
 @given(ambient_letters)
@@ -157,6 +177,18 @@ subgroup_letters = st.lists(
     st.tuples(st.sampled_from(SUBGROUP_POOL), st.sampled_from([-1, 1])),
     max_size=25,
 )
+
+
+@given(subgroup_letters)
+def test_linear_expand_word_and_twist_match_product_fold(letters):
+    w = Word(letters)
+    for mode, spell in (("closed", closed_form), ("defining", expansion)):
+        assert expand_word(w, mode) == fold(
+            spell(sym) if exp == 1 else spell(sym).inverse() for sym, exp in w
+        )
+    assert twist(w) == fold(
+        rho1_rule(sym) if exp == 1 else rho1_rule(sym).inverse() for sym, exp in w
+    )
 
 
 @given(subgroup_letters)
@@ -228,6 +260,78 @@ def test_canon_key_is_inversion_invariant(letters):
     assert canon_key(w) == canon_key(w.inverse())
 
 
+def brute_cyclic_key(letters, key):
+    """Oracle: the least key over every rotation of both orientations,
+    for a cyclically reduced letter tuple with g letters made positive."""
+    if not letters:
+        return ()
+    inverse = tuple(l[:-1] + (-l[-1],) for l in reversed(letters))
+    best = None
+    for base in (letters, inverse):
+        base = tuple(l[:-1] + (1,) if key(l)[1] == "g" else l for l in base)
+        for k in range(len(base)):
+            cand = tuple(key(l) for l in base[k:] + base[:k])
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def brute_canon_key(w):
+    return brute_cyclic_key(w.cyclic_reduce().letters, lambda l: l[0].key() + (l[1],))
+
+
+def brute_template_key(t):
+    offs = t.m_offsets()
+    if offs:
+        t = t.shift(-min(offs))
+    letters = t.letters
+    while len(letters) >= 2 and letters[0][:2] == letters[-1][:2] and letters[0][2] == -letters[-1][2]:
+        letters = letters[1:-1]
+
+    def key(l):
+        fam, exprs, exp = l
+        ekeys = tuple((0, "", off) if var is None else (1, var, off) for var, off in exprs)
+        return (_FAMILY_RANK.get(fam, 99), fam, ekeys, exp)
+
+    return brute_cyclic_key(letters, key)
+
+
+# Periodic words u^k are the hard case for the least-rotation scan.
+periodic_subgroup_words = st.builds(
+    lambda u, k: Word(u) ** k, subgroup_letters, st.integers(min_value=1, max_value=4)
+)
+
+TEMPLATE_POOL = [
+    ("a", (("m", -1),)),
+    ("b", (("m", 0), (None, 1))),
+    ("c", ((None, 3),)),
+    ("f", (("m", 0), (None, 0))),
+    ("f", (("m", 1), (None, 0))),
+    ("f", ((None, 2), (None, 0))),
+    ("g", (("m", 0), (None, 3))),
+    ("g", (("m", 2), ("i", 0))),
+]
+
+periodic_templates = st.builds(
+    lambda u, k: TemplateWord(u * k),
+    st.lists(
+        st.builds(lambda l, e: l + (e,), st.sampled_from(TEMPLATE_POOL), st.sampled_from([-1, 1])),
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@given(periodic_subgroup_words | st.builds(Word, subgroup_letters))
+def test_canon_key_matches_brute_force_rotations(w):
+    assert canon_key(w) == brute_canon_key(w)
+
+
+@given(periodic_templates)
+def test_template_canon_key_matches_brute_force_rotations(t):
+    assert template_canon_key(t) == brute_template_key(t)
+
+
 def test_canon_treats_involution_letters_sign_blind():
     assert canon_equal(parse_word("g(0,3) f(0,0)"), parse_word("g(0,3)^-1 f(0,0)"))
     # non-involution signs still matter once inversion symmetry is broken
@@ -289,7 +393,17 @@ def test_torsion_normalize():
     assert print_template(p1.relators[2].template) == merged
 
 
+def test_torsion_normalize_raises_when_the_cap_runs_out(monkeypatch):
+    # A merge that grows the word never settles; the bound must show it.
+    monkeypatch.setattr(rewriting, "torsion_merge", lambda letters: letters + letters[:1])
+    with pytest.raises(NotConverged):
+        torsion_normalize(parse_word("a(0) f(0,0)"))
+
+
 def test_catalog_substitutions():
+    # b(0,1) -> f(0,0) a(0) f(1,0)^-1 -> (welded a) f(0,0) f(0,0), then a
+    # third pass sees nothing left to rewrite.
+    assert catalog_substitutions(parse_word("b(0,1)"), "wb") == parse_word("f(0,0) f(0,0)")
     out = catalog_substitutions(parse_word("b(0,0)"), "vb")
     assert out == parse_word("f(0,0)^-1 f(1,0)")
     out = catalog_substitutions(parse_word("b(2,1)^-1"), "vb")

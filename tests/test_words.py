@@ -97,6 +97,16 @@ def test_power_and_inverse():
     assert w ** 0 == Word()
 
 
+@given(letters_st, st.integers(min_value=-4, max_value=4))
+def test_power_matches_product_fold(letters, k):
+    w = Word(letters)
+    base = w if k > 0 else w.inverse()
+    out = Word()
+    for _ in range(abs(k)):
+        out = out * base
+    assert w ** k == out
+
+
 def test_cyclic_reduce():
     w = word(sigma(1), rho(2), (sigma(1), -1))
     assert w.cyclic_reduce() == word(rho(2))
