@@ -5,41 +5,33 @@ For each group and rank the reduced presentation is truncated to a
 ladder of symmetric windows; the table shows the torsion coefficients
 and free rank per window, plus whether the profile has stabilized
 (fixed torsion, constant rank growth).  Useful for picking windows big
-enough that the truncation artifacts are gone.
+enough that the truncation artifacts are gone.  A group and rank whose
+profile cannot be taken (say, a window too narrow to instantiate every
+relator family) prints an ``error:`` row, and the script then exits 2.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from braidsub.abelianize import stabilization_profile
 from braidsub.errors import BraidsubError
 
 
-@dataclass
-class SweepConfig:
-    groups: tuple = ("vb", "wb")
-    ranks: tuple = (3, 4, 5, 6)
-    radii: tuple = (3, 4, 5)
-    rows: list = field(default_factory=list)
-
-    def windows(self):
-        return tuple((-r, r) for r in self.radii)
-
-
-def run(cfg: SweepConfig) -> list:
-    for group in cfg.groups:
-        for n in cfg.ranks:
+def run(groups, ranks, radii) -> list:
+    windows = tuple((-r, r) for r in radii)
+    rows = []
+    for group in groups:
+        for n in ranks:
             try:
-                prof = stabilization_profile(group, n, cfg.windows())
+                prof = stabilization_profile(group, n, windows)
             except BraidsubError as exc:
-                cfg.rows.append((group, n, "error: %s" % exc, "", ""))
+                rows.append((group, n, "error: %s" % exc, "", ""))
                 continue
             per_window = ", ".join(
                 "%s + Z^%d" % (r["torsion"] or "[]", r["free_rank"])
                 for r in prof["rows"]
             )
-            cfg.rows.append(
+            rows.append(
                 (
                     group,
                     n,
@@ -48,7 +40,7 @@ def run(cfg: SweepConfig) -> list:
                     "delta=%s" % prof["free_rank_delta"],
                 )
             )
-    return cfg.rows
+    return rows
 
 
 def main() -> int:
@@ -58,16 +50,15 @@ def main() -> int:
     parser.add_argument("--radii", default="3,4,5",
                         help="window radii, e.g. 3,4,5 for [-3,3],[-4,4],[-5,5]")
     args = parser.parse_args()
-    cfg = SweepConfig(
-        groups=tuple(args.groups.split(",")),
-        ranks=tuple(int(x) for x in args.ranks.split(",")),
-        radii=tuple(int(x) for x in args.radii.split(",")),
+    rows = run(
+        args.groups.split(","),
+        [int(x) for x in args.ranks.split(",")],
+        [int(x) for x in args.radii.split(",")],
     )
-    rows = run(cfg)
     width = max(len(r[2]) for r in rows)
     for group, n, profile, stable, delta in rows:
         print("%s n=%d  %-*s  %-7s %s" % (group, n, width, profile, stable, delta))
-    return 0
+    return 2 if any(r[2].startswith("error: ") for r in rows) else 0
 
 
 if __name__ == "__main__":

@@ -150,11 +150,22 @@ def relation_matrix(fp: FinitePresentation) -> tuple[Matrix, list]:
 
 
 def abelianization(p, window: Optional[tuple[int, int]] = None) -> dict:
-    """Invariants of the abelianized presentation over one window."""
+    """Invariants of the abelianized presentation over one window.
+
+    A parametric presentation is instantiated over the window, which must
+    instantiate every relator family at least once.
+    """
     if isinstance(p, Presentation):
         if window is None:
             raise EmptyWindow("a parametric presentation needs a window")
         fp = instantiate(p, window)
+        present = {label.split("@")[0] for label, _ in fp.relators}
+        for inst in p.relators:
+            if inst.label not in present:
+                raise WindowTooNarrow(
+                    "window [%d, %d] instantiates no %s relator"
+                    % (window[0], window[1], inst.label)
+                )
     else:
         fp = p
     matrix, cols = relation_matrix(fp)
@@ -186,22 +197,15 @@ def abelian_invariants(group: str, n: int, window: tuple[int, int],
         p = presets.reduced_presentation(group, n)
     else:
         p = presets.derived_presentation(group, n)
-    fp = instantiate(p, window)
-    present = {label.split("@")[0] for label, _ in fp.relators}
-    for inst in p.relators:
-        if inst.label not in present:
-            raise WindowTooNarrow(
-                "window [%d, %d] instantiates no %s relator"
-                % (window[0], window[1], inst.label)
-            )
-    return abelianization(fp, None) | {"window": list(window)}
+    return abelianization(p, window)
 
 
 def stabilization_profile(group: str, n: int, windows=DEFAULT_WINDOWS) -> dict:
     """Invariants of the reduced presentation over a ladder of windows.
 
     The profile is stable when the torsion part does not move and the
-    free rank grows by a constant amount per window step.
+    free rank grows by a constant amount per window step.  Every window
+    must instantiate every relator family at least once.
     """
     if len(windows) < 2:
         raise WindowTooNarrow("need at least two windows to compare")

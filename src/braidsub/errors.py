@@ -17,10 +17,6 @@ class BadRank(BraidsubError):
     """Group rank outside the supported range."""
 
 
-class RankOutOfRange(BraidsubError):
-    """A strand index does not exist at the given rank."""
-
-
 class EmptyWindow(BraidsubError):
     """Integer window [lo, hi] with lo > hi."""
 

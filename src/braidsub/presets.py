@@ -8,6 +8,8 @@ This module holds the group-level data used everywhere else:
   per-source statement tables used by the verifier and the merged
   catalogs that the simplification scripts and the abelianizer start
   from;
+* the catalog spellings of the b, second-bit f and welded a letters in
+  the f and a families, which every substitution of them reads;
 * the :class:`Presentation` container for parametric presentations (a
   finite list of relator templates in the window variable ``m``) with
   window instantiation, generator accounting, and a plain-text format.
@@ -24,7 +26,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import BadRank, EmptyWindow, ParseError, RankOutOfRange
+from .errors import BadRank, EmptyWindow, ParseError
 from .words import (
     Symbol,
     TemplateWord,
@@ -47,17 +49,6 @@ GROUPS = ("vb", "wb")
 def check_rank(n: int) -> None:
     if not isinstance(n, int) or n < 2:
         raise BadRank("rank must be an integer >= 2, got %r" % (n,))
-
-
-def check_strand(sym: Symbol, n: int) -> None:
-    """Reject ambient or derived symbols whose strand index needs more strands."""
-    fam = sym.family
-    if fam in ("sigma", "rho") and sym.indices[0] > n - 1:
-        raise RankOutOfRange("%s needs rank > %d" % (sym, n))
-    if fam == "c" and sym.indices[0] > n - 1:
-        raise RankOutOfRange("%s needs rank > %d" % (sym, n))
-    if fam == "g" and sym.indices[1] > n - 1:
-        raise RankOutOfRange("%s needs rank > %d" % (sym, n))
 
 
 def _braid_commute(i: int, j: int) -> Word:
@@ -347,6 +338,22 @@ CATALOG_FAMILIES: dict[str, RelatorFamily] = {
 }
 
 
+# How a b letter, a second-bit f letter and, in the welded group only, an
+# a letter are spelled in the f and a families: (family, trailing indices)
+# -> the spelling of the letter at plain window index m.  The b spellings
+# solve f-step-b0 and f-a-step-b1, the f spelling solves the pairing
+# relator f(m,0) f(m,1).
+SPELLINGS: dict[tuple[str, tuple[int, ...]], TemplateWord] = {
+    ("b", (0,)): parse_template("f(m,0)^-1 f(m+1,0)"),
+    ("b", (1,)): parse_template("f(m,0) a(m) f(m+1,0)^-1"),
+    ("f", (1,)): parse_template("f(m,0)^-1"),
+}
+
+WELDED_SPELLINGS = SPELLINGS | {
+    ("a", ()): parse_template("f(m,0) f(m+1,0)"),
+}
+
+
 def main_families(group: str) -> tuple[RelatorFamily, ...]:
     if group == "vb":
         return MAIN_VB_FAMILIES
@@ -380,13 +387,6 @@ class GeneratorFamily:
             return "%s(%s)" % (self.family, inner)
         return "%s(%s)" % (self.family, ",".join(str(v) for v in self.fixed))
 
-    def matches(self, sym: Symbol) -> bool:
-        if sym.family != self.family:
-            return False
-        if self.windowed:
-            return sym.indices[1:] == self.fixed
-        return sym.indices == self.fixed
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -404,12 +404,6 @@ class Presentation:
             if fam == family:
                 return d
         return (0, 0)
-
-    def generator_for(self, sym: Symbol) -> Optional[GeneratorFamily]:
-        for gen in self.generators:
-            if gen.matches(sym):
-                return gen
-        return None
 
 
 @dataclass(frozen=True)
@@ -603,44 +597,28 @@ def wb4_final_presentation() -> Presentation:
     )
 
 
-def _sub_b(t: TemplateWord) -> TemplateWord:
-    """Rewrite the b letters through their f and a spellings."""
-    t = t.substitute_family("b", (0,), parse_template("f(m,0)^-1 f(m+1,0)"))
-    t = t.substitute_family("b", (1,), parse_template("f(m,0) a(m) f(m+1,0)^-1"))
-    return t
+def _b_free_presentation(group: str, n: int) -> Presentation:
+    """The merged catalog with the b letters spelled out over a, c, f, g:
+    the two b-defining families go, and the a block is trimmed one short
+    at the top of the window."""
+    gens = [_GEN_A] + _gen_c(n) + [_GEN_F] + _gen_g(n)
+    rels = []
+    for inst in expand_families(main_families(group), n):
+        if inst.label in ("f-step-b0", "f-a-step-b1"):
+            continue
+        t = inst.template
+        for fixed in ((0,), (1,)):
+            t = t.substitute_family("b", fixed, SPELLINGS["b", fixed])
+        rels.append(FamilyInstance(inst.label, t))
+    return Presentation(group, n, tuple(gens), tuple(rels), trims=(("a", (0, -1)),))
 
 
 def braid_reduced_presentation(n: int) -> Presentation:
-    """The b-free form of the merged catalog over a, c, f, g (rank >= 4)."""
+    """The b-free form of the merged virtual catalog (rank >= 4)."""
     check_rank(n)
     if n < 4:
         raise BadRank("the b-free catalog needs rank >= 4, got %d" % n)
-    gens = [_GEN_A] + _gen_c(n) + [_GEN_F] + _gen_g(n)
-    rels = []
-    for inst in expand_families(MAIN_VB_FAMILIES, n):
-        if inst.label in ("f-step-b0", "f-a-step-b1"):
-            continue
-        rels.append(FamilyInstance(inst.label, _sub_b(inst.template)))
-    return Presentation("vb", n, tuple(gens), tuple(rels), trims=(("a", (0, -1)),))
-
-
-def welded_reduced_presentation(n: int) -> Presentation:
-    """The b-free merged catalog of the welded group (rank >= 5)."""
-    check_rank(n)
-    if n < 5:
-        raise BadRank("the welded b-free catalog is used for rank >= 5, got %d" % n)
-    base = braid_reduced_presentation(n)
-    extra = [
-        FamilyInstance(inst.label, _sub_b(inst.template))
-        for inst in expand_families(WELDED_FAMILIES, n)
-    ]
-    return Presentation(
-        "wb",
-        n,
-        base.generators,
-        base.relators + tuple(extra),
-        trims=base.trims,
-    )
+    return _b_free_presentation("vb", n)
 
 
 def reduced_presentation(group: str, n: int) -> Presentation:
@@ -655,7 +633,7 @@ def reduced_presentation(group: str, n: int) -> Presentation:
             return wb3_final_presentation()
         if n == 4:
             return wb4_final_presentation()
-        return welded_reduced_presentation(n)
+        return _b_free_presentation("wb", n)
     raise ParseError("unknown group %r" % group)
 
 

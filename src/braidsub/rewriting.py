@@ -12,7 +12,7 @@ derived relator catalog.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import presets
 from .cosets import (
@@ -251,32 +251,24 @@ def template_canon_key(t: TemplateWord) -> tuple:
 
 def catalog_substitutions(w: Word, group: str) -> Word:
     """Rewrite b letters, second-bit f letters and (welded) a letters
-    through their catalog spellings in the f and a families.
+    through their catalog spellings (``presets.SPELLINGS``) in the f and
+    a families.
 
     Runs until nothing changes, which takes at most three passes: b and
     second-bit f letters become f(m,0) and a letters, welded a letters
     become f(m,0) letters, and f(m,0) letters stay.
     """
+    table = presets.WELDED_SPELLINGS if group == "wb" else presets.SPELLINGS
     while True:
         out = []
         changed = False
         for sym, exp in w:
-            rep: Optional[Word] = None
-            if sym.family == "f" and sym.indices[1] == 1:
-                rep = Word([(f(sym.indices[0], 0), -1)])
-            elif sym.family == "b" and sym.indices[1] == 0:
-                m = sym.indices[0]
-                rep = Word([(f(m, 0), -1), (f(m + 1, 0), 1)])
-            elif sym.family == "b":
-                m = sym.indices[0]
-                rep = Word([(f(m, 0), 1), (a(m), 1), (f(m + 1, 0), -1)])
-            elif group == "wb" and sym.family == "a":
-                m = sym.indices[0]
-                rep = Word([(f(m, 0), 1), (f(m + 1, 0), 1)])
-            if rep is None:
+            spelling = table.get((sym.family, sym.indices[1:]))
+            if spelling is None:
                 out.append((sym, exp))
             else:
                 changed = True
+                rep = spelling.instantiate(m=sym.indices[0])
                 out.extend(rep.letters if exp == 1 else rep.inverse().letters)
         if not changed:
             return w
@@ -504,26 +496,25 @@ def m_lift(w: Word) -> TemplateWord:
     return TemplateWord(out)
 
 
-def assemble(group: str, n: int, eliminate_square_bit: bool = True) -> presets.Presentation:
+def assemble(group: str, n: int) -> presets.Presentation:
     """Mechanically derive the full relator catalog at rank n.
 
     Every ambient relator is rewritten at the base position with both
-    twists, lifted to a window template, and deduplicated up to the
-    cyclic canonical form.  With ``eliminate_square_bit`` the second-bit
-    f letters are removed through the pairing family.
+    twists, lifted to a window template, rid of its second-bit f letters
+    through their catalog spelling, and deduplicated up to the cyclic
+    canonical form.  The first relator to reach a form names it.
     """
     presets.check_rank(n)
     if n < 3:
         raise presets.BadRank("catalog assembly needs rank >= 3, got %d" % n)
+    square_bit = presets.SPELLINGS["f", (1,)]
     seen: dict[tuple, presets.FamilyInstance] = {}
-    order: list[tuple] = []
     for af in presets.ambient_families(group, n):
         for params, r in af.cases:
             for twisted in (False, True):
-                w = derive_relation(r, 0, twisted)
-                if not w:
+                t = m_lift(derive_relation(r, 0, twisted)).substitute_family("f", (1,), square_bit)
+                if not t:
                     continue
-                t = m_lift(w)
                 offs = t.m_offsets()
                 if offs:
                     t = t.shift(-min(offs))
@@ -533,32 +524,11 @@ def assemble(group: str, n: int, eliminate_square_bit: bool = True) -> presets.P
                 ptxt = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
                 label = "%s[%s]%s" % (af.label, ptxt, "+twist" if twisted else "")
                 seen[key] = presets.FamilyInstance(label, t)
-                order.append(key)
-    instances = [seen[k] for k in order]
-    if eliminate_square_bit:
-        rep = parse_template("f(m,0)^-1")
-        reduced: dict[tuple, presets.FamilyInstance] = {}
-        order2: list[tuple] = []
-        for inst in instances:
-            t = inst.template.substitute_family("f", (1,), rep)
-            if not t:
-                continue
-            offs = t.m_offsets()
-            if offs:
-                t = t.shift(-min(offs))
-            key = template_canon_key(t)
-            if key in reduced:
-                continue
-            reduced[key] = presets.FamilyInstance(inst.label, t)
-            order2.append(key)
-        instances = [reduced[k] for k in order2]
     gens = [presets.GeneratorFamily("a"), presets.GeneratorFamily("b", (0,)), presets.GeneratorFamily("b", (1,))]
     gens += [presets.GeneratorFamily("c", (l,), windowed=False) for l in range(3, n)]
     gens += [presets.GeneratorFamily("f", (0,))]
-    if not eliminate_square_bit:
-        gens += [presets.GeneratorFamily("f", (1,))]
     gens += [presets.GeneratorFamily("g", (l,)) for l in range(3, n)]
-    return presets.Presentation(group, n, tuple(gens), tuple(instances))
+    return presets.Presentation(group, n, tuple(gens), tuple(seen.values()))
 
 
 def compare_catalog(group: str, n: int, window: tuple[int, int]) -> dict:

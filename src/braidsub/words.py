@@ -44,10 +44,6 @@ FAMILIES = {
 
 M_FAMILIES = ("a", "b", "f", "g")
 
-AMBIENT_FAMILIES = ("sigma", "rho")
-
-SUBGROUP_FAMILIES = ("a", "b", "c", "f", "g")
-
 # Fixed family order used by canonical forms and printers.
 _FAMILY_RANK = {"a": 0, "b": 1, "c": 2, "f": 3, "g": 4, "sigma": 5, "rho": 6}
 
@@ -198,9 +194,6 @@ class Word:
     def symbols(self) -> set[Symbol]:
         return {sym for sym, _ in self.letters}
 
-    def families(self) -> set[str]:
-        return {sym.family for sym, _ in self.letters}
-
     def substitute(self, target: Symbol, replacement: "Word") -> "Word":
         """Replace every occurrence of ``target`` (both signs) by ``replacement``.
 
@@ -313,9 +306,6 @@ class TemplateWord:
 
     def inverse(self) -> "TemplateWord":
         return TemplateWord(tuple((fam, exprs, -exp) for fam, exprs, exp in reversed(self.letters)))
-
-    def conjugate(self, by: "TemplateWord") -> "TemplateWord":
-        return by * self * by.inverse()
 
     def variables(self) -> set[str]:
         out: set[str] = set()

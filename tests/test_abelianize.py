@@ -265,6 +265,16 @@ def test_check_perfect_verdicts():
         check_perfect("vb", 1)
 
 
+def test_profiles_reject_narrow_windows():
+    # [-1, 1] instantiates no span-3 b0-recurrence relator of the rank-5
+    # catalog; the profile must not read as stable and perfect.
+    windows = ((-1, 1), (-2, 2))
+    with pytest.raises(WindowTooNarrow, match="no b0-recurrence relator"):
+        stabilization_profile("vb", 5, windows)
+    with pytest.raises(WindowTooNarrow, match="no b0-recurrence relator"):
+        check_perfect("vb", 5, windows)
+
+
 def test_f_killed_quotient():
     out = f_killed_quotient(vb3_final_presentation())
     assert out == {"verdict": "free", "survivors": [], "basis_family": "a"}

@@ -5,6 +5,8 @@ adjacency ranges) and frozen as literals, so a silent change in a domain
 function shows up as a count mismatch.
 """
 
+import dataclasses
+
 import pytest
 
 from braidsub.cosets import ORIGIN, phi
@@ -12,11 +14,14 @@ from braidsub.errors import BadRank, EmptyWindow, ParseError
 from braidsub.presets import (
     CATALOG_FAMILIES,
     GeneratorFamily,
+    L7_FAMILIES,
     LEMMA_IDS,
     LEMMA_TABLES,
     MAIN_VB_FAMILIES,
     Presentation,
+    SPELLINGS,
     WELDED_FAMILIES,
+    WELDED_SPELLINGS,
     ambient_families,
     ambient_presentation,
     braid_reduced_presentation,
@@ -35,6 +40,7 @@ from braidsub.presets import (
     wb3_final_presentation,
     wb4_final_presentation,
 )
+from braidsub.tietze import eliminate_family, solve_for
 from braidsub.words import print_template
 
 
@@ -179,6 +185,26 @@ def test_b_free_catalog():
         == "f(m+1,0)^-1 f(m+2,0) f(m+3,0)^-1 f(m+2,0) f(m+1,0)^-1 f(m,0)"
     )
     assert p.trim_for("a") == (0, -1)
+
+
+def test_spellings_solve_their_defining_relators():
+    assert L7_FAMILIES[0].label == "f-pair"
+    for key, fam in (
+        (("b", (0,)), CATALOG_FAMILIES["f-step-b0"]),
+        (("b", (1,)), CATALOG_FAMILIES["f-a-step-b1"]),
+        (("f", (1,)), L7_FAMILIES[0]),
+    ):
+        assert SPELLINGS[key] == solve_for(fam.template, *key), key
+    assert WELDED_SPELLINGS.keys() - SPELLINGS.keys() == {("a", ())}
+
+
+def test_b_free_catalog_is_the_eliminated_derived_catalog():
+    for group, ranks in (("vb", range(4, 9)), ("wb", range(5, 9))):
+        for n in ranks:
+            p, _ = eliminate_family(derived_presentation(group, n), "b", (1,), "f-a-step-b1")
+            p, _ = eliminate_family(p, "b", (0,), "f-step-b0")
+            expected = dataclasses.replace(p, trims=(("a", (0, -1)),))
+            assert reduced_presentation(group, n) == expected, (group, n)
 
 
 def test_reduced_dispatch():

@@ -451,11 +451,12 @@ def test_assemble_matches_catalog_generators():
         assert dk == sk
 
 
-def test_assemble_can_keep_the_square_bit():
-    p = assemble("vb", 4, eliminate_square_bit=False)
-    fams = [gen.name() for gen in p.generators]
-    assert "f(m,1)" in fams
-    texts = " ".join(print_template(inst.template) for inst in p.relators)
-    assert "f(m,1)" in texts or "f(m+1,1)" in texts
-    q = assemble("vb", 4)
-    assert all("f(m,1)" not in print_template(inst.template) for inst in q.relators)
+def test_assemble_eliminates_the_square_bit():
+    # The pairing relator f(m,0) f(m,1) spells the second-bit f letter
+    # away: it becomes empty and is dropped, and no other relator or
+    # generator block keeps an f(.,1) letter.
+    p = assemble("vb", 4)
+    assert ("f", (1,)) not in {(gen.family, gen.fixed) for gen in p.generators}
+    for inst in p.relators:
+        assert not any(fam == "f" and exprs[1:] == ((None, 1),) for fam, exprs, _ in inst.template)
+    assert not any(inst.label.startswith("symmetric-involution[i=2]") for inst in p.relators)
