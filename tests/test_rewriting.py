@@ -451,10 +451,12 @@ def test_assemble_matches_catalog_generators():
         assert dk == sk
 
 
-def test_assemble_eliminates_the_square_bit():
-    # The pairing relator f(m,0) f(m,1) spells the second-bit f letter
-    # away: it becomes empty and is dropped, and no other relator or
-    # generator block keeps an f(.,1) letter.
+def test_assemble_can_keep_the_square_bit():
+    # assemble no longer has an option to keep the square bit; the test
+    # keeps its name and checks that the bit is always eliminated.  The
+    # pairing relator f(m,0) f(m,1) spells the second-bit f letter away:
+    # it becomes empty and is dropped, and no other relator or generator
+    # block keeps an f(.,1) letter.
     p = assemble("vb", 4)
     assert ("f", (1,)) not in {(gen.family, gen.fixed) for gen in p.generators}
     for inst in p.relators:
