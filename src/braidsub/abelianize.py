@@ -1,9 +1,15 @@
 """Integer abelianization of truncated presentations.
 
-The matrix side is deliberately plain: exact integer Smith normal form
-with explicit unimodular certificates, no floating point anywhere.  On
-top of that sit the window profiles (how the invariants move as the
-truncation window grows) and the step-by-step truncation comparison for
+Everything is exact integer arithmetic, no floating point anywhere.
+`invariants` reads the abelian invariants of a relation matrix by sparse
+unit-pivot elimination: rows become dicts, zero rows and rows equal to
+another row or its negation are dropped, and each +-1 pivot, chosen to
+keep fill-in low, removes one row and one column as one unit invariant
+factor (Havas, Holt and Rees 1993; Havas, Majewski and Matthews 1998).
+Only the small remainder goes through `snf`, the dense Smith normal form
+that also returns the unimodular certificates U and V.  On top of that
+sit the window profiles (how the invariants move as the truncation
+window grows) and the step-by-step truncation comparison for
 simplification scripts: after every script step the truncated
 abelianization must present the same group, once the kept instances are
 matched between the two sides.
@@ -121,13 +127,69 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[list[int], Matrix, Matrix]:
 
 
 def invariants(matrix: Sequence[Sequence[int]], cols: Optional[int] = None) -> dict:
-    """Torsion coefficients and free rank of coker(M)."""
+    """Torsion coefficients and free rank of coker(M).
+
+    Unit pivots are eliminated on sparse rows first; `snf` then
+    diagonalises only the dense remainder.
+    """
+    width = len(matrix[0]) if matrix else 0
     if cols is None:
-        cols = len(matrix[0]) if matrix else 0
-    diag, _, _ = snf(matrix)
+        cols = width
+    rows: dict[int, dict[int, int]] = {}
+    colrows: dict[int, set] = {}
+    seen = set()
+    for vec in matrix:
+        if len(vec) != width:
+            raise ShapeMismatch("ragged matrix")
+        row = {j: int(x) for j, x in enumerate(vec) if x}
+        # a row and its negation state the same relation
+        key = tuple(row.items())
+        if key and key[0][1] < 0:
+            key = tuple((j, -x) for j, x in key)
+        if key and key not in seen:
+            seen.add(key)
+            for j in row:
+                colrows.setdefault(j, set()).add(len(rows))
+            rows[len(rows)] = row
+    units = 0
+    while True:
+        # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in
+        best = None
+        for c, rs in colrows.items():
+            for r in rs:
+                row = rows[r]
+                if row[c] in (1, -1):
+                    cost = (len(row) - 1) * (len(rs) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, r, c)
+        if best is None:
+            break
+        _, p, c = best
+        prow = rows.pop(p)
+        for j in prow:
+            colrows[j].discard(p)
+        for r in list(colrows[c]):
+            row = rows[r]
+            q = row[c] * prow[c]  # prow[c] is its own inverse
+            for j, x in prow.items():
+                v = row.get(j, 0) - q * x
+                if v:
+                    row[j] = v
+                    colrows[j].add(r)
+                else:
+                    del row[j]
+                    colrows[j].discard(r)
+            if not row:
+                del rows[r]
+        for j in prow:
+            if not colrows[j]:
+                del colrows[j]
+        units += 1
+    remaining = sorted(colrows)
+    diag, _, _ = snf([[row.get(j, 0) for j in remaining] for row in rows.values()])
     nonzero = [d for d in diag if d]
     torsion = [d for d in nonzero if d != 1]
-    return {"torsion": torsion, "free_rank": cols - len(nonzero)}
+    return {"torsion": torsion, "free_rank": cols - units - len(nonzero)}
 
 
 # ---------------------------------------------------------------------------

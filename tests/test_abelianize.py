@@ -3,9 +3,11 @@
 The invariant factors are cross-checked against a minor-gcd oracle
 built here from a fraction-free Bareiss determinant, so the two sides
 share no code.  The window profiles and the per-step truncation
-comparison are pinned to their stable values.
+comparison are pinned to their stable values.  The sparse invariants
+are checked against the diagonal of the dense certified Smith form.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidsub import abelianize
 from braidsub.abelianize import (
     abelian_invariants,
     abelianization,
@@ -42,6 +45,7 @@ from braidsub.presets import (
     reduced_presentation,
     vb3_final_presentation,
 )
+from braidsub.rewriting import template_canon_key
 from braidsub.tietze import run_script
 from braidsub.words import parse_template, parse_word
 
@@ -178,6 +182,62 @@ def test_invariants_of_cokernel():
     assert invariants([[1, 0]]) == {"torsion": [], "free_rank": 1}
     assert invariants([], cols=3) == {"torsion": [], "free_rank": 3}
     assert invariants([[2, 0], [0, 2]]) == {"torsion": [2, 2], "free_rank": 0}
+    # a ragged matrix is rejected before any row is dropped or reduced
+    with pytest.raises(ShapeMismatch):
+        invariants([[1, 2], [3]])
+    with pytest.raises(ShapeMismatch):
+        invariants([[1, 2], [0]])
+
+
+def dense_invariants(mat, cols):
+    """Invariants read off the diagonal of the dense certified Smith form."""
+    nonzero = [d for d in snf(mat)[0] if d]
+    return {"torsion": [d for d in nonzero if d != 1], "free_rank": cols - len(nonzero)}
+
+
+@st.composite
+def sparse_relation_matrices(draw):
+    """Mostly-zero, mostly-unit matrices with zero, repeated and negated rows."""
+    cols = draw(st.integers(min_value=0, max_value=7))
+    entries = [0] * 6 + [1, -1, 1, -1, 2, 3, -4]
+    if draw(st.booleans()):
+        entries = [0] * 3 + [2, 3, -4, 6]  # no unit entry at all
+    row = st.lists(st.sampled_from(entries), min_size=cols, max_size=cols)
+    mat = draw(st.lists(row, max_size=8 if cols else 0))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not mat:
+            break
+        src = mat[draw(st.integers(min_value=0, max_value=len(mat) - 1))]
+        flipped = [-x for x in src]
+        near = flipped[:1] + src[1:]  # equal to src up to one sign, not a duplicate
+        extra = draw(st.sampled_from(([0] * cols, list(src), flipped, near)))
+        mat.insert(draw(st.integers(min_value=0, max_value=len(mat))), extra)
+    return mat, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_relation_matrices())
+def test_invariants_match_dense_snf(case):
+    mat, cols = case
+    assert invariants(mat, cols) == dense_invariants(mat, cols)
+
+
+def test_invariants_match_dense_snf_on_catalog_matrices(monkeypatch):
+    # every matrix the window profiles and the WB4 step checks build
+    seen = []
+
+    def record(matrix, cols=None):
+        seen.append((matrix, cols))
+        return invariants(matrix, cols)
+
+    monkeypatch.setattr(abelianize, "invariants", record)
+    for group in ("vb", "wb"):
+        for n in (3, 4, 5, 6):
+            stabilization_profile(group, n, ((-4, 4), (-6, 6), (-8, 8)))
+    check_script_truncation(run_script("WB4_REDUCE"))
+    assert len(seen) > 24
+    for matrix, cols in seen:
+        assert invariants(matrix, cols) == dense_invariants(matrix, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +333,53 @@ def test_profiles_reject_narrow_windows():
         stabilization_profile("vb", 5, windows)
     with pytest.raises(WindowTooNarrow, match="no b0-recurrence relator"):
         check_perfect("vb", 5, windows)
+
+
+def test_check_perfect_on_wide_windows():
+    windows = ((-10, 10), (-12, 12))
+    for group, n, torsion, ranks in (
+        ("vb", 3, [3, 3, 3], [21, 25]),
+        ("vb", 4, [3, 3, 3], [0, 0]),
+        ("wb", 3, [3, 3, 3], [1, 1]),
+        ("wb", 4, [3], [0, 0]),
+    ):
+        out = check_perfect(group, n, windows)
+        assert out["verdict"] == "not perfect", (group, n)
+        assert out["profile"]["torsion"] == torsion, (group, n)
+        assert [r["free_rank"] for r in out["profile"]["rows"]] == ranks, (group, n)
+    for group in ("vb", "wb"):
+        for n in (5, 6):
+            out = check_perfect(group, n, windows)
+            assert out["verdict"] == "consistent with perfect", (group, n)
+
+
+def test_welded_inverse_pairs_leave_the_invariants_alone():
+    # The catalog states both members of each pair, and each pair is one
+    # cyclic relator up to inversion (and, for the c3 pair, the sign of the
+    # involution g).  The a-f rows are negated duplicates, which invariants
+    # drops; the c3 rows differ by twice a g column.
+    p = derived_presentation("wb", 5)
+    keys = {inst.label: template_canon_key(inst.template) for inst in p.relators}
+    assert keys["welded-a-f"] == keys["welded-a-f-inverse"]
+    assert keys["welded-c3-braid-0"] == keys["welded-c3-braid-1"]
+    assert keys["welded-a-f"] != keys["welded-c3-braid-0"]
+
+    def without(*labels):
+        return dataclasses.replace(
+            p, relators=tuple(i for i in p.relators if i.label not in labels)
+        )
+
+    def rows_up_to_sign(q, window):
+        rows = relation_matrix(instantiate(q, window))[0]
+        return {max(tuple(r), tuple(-x for x in r)) for r in rows}
+
+    pruned = without("welded-a-f-inverse", "welded-c3-braid-1")
+    for window in ((-4, 4), (-8, 8)):
+        half_af = rows_up_to_sign(without("welded-a-f-inverse"), window)
+        assert half_af == rows_up_to_sign(p, window)
+        full, half = abelianization(p, window), abelianization(pruned, window)
+        assert half["relator_instances"] < full["relator_instances"]
+        assert (half["torsion"], half["free_rank"]) == (full["torsion"], full["free_rank"])
 
 
 def test_f_killed_quotient():

@@ -9,7 +9,9 @@ import json
 import pytest
 
 from braidsub import cli
+from braidsub.abelianize import relation_matrix
 from braidsub.cli import main
+from braidsub.presets import instantiate, reduced_presentation
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +113,10 @@ def test_abelianize_json(capsys):
     obj = json.loads(out)
     assert obj["torsion"] == [3]
     assert obj["free_rank"] == 0
+    # the dimensions of the whole relation matrix, not of what elimination leaves
+    fp = instantiate(reduced_presentation("wb", 4), (-4, 4))
+    matrix, gens = relation_matrix(fp)
+    assert obj["matrix_dims"] == [len(matrix), len(gens)]
     code, out, _ = run(
         capsys, "abelianize", "--group", "wb", "--n", "4", "--window", "-4..4",
     )
