@@ -1,28 +1,34 @@
 """Integer abelianization of truncated presentations.
 
-Everything is exact integer arithmetic, no floating point anywhere.
-`invariants` reads the abelian invariants of a relation matrix by sparse
-unit-pivot elimination: rows become dicts, zero rows and rows equal to
-another row or its negation are dropped, and each +-1 pivot, chosen to
-keep fill-in low, removes one row and one column as one unit invariant
-factor (Havas, Holt and Rees 1993; Havas, Majewski and Matthews 1998).
-Only the small remainder goes through `snf`, the dense Smith normal form
-that also returns the unimodular certificates U and V.  On top of that
-sit the window profiles (how the invariants move as the truncation
-window grows) and the step-by-step truncation comparison for
-simplification scripts: after every script step the truncated
-abelianization must present the same group, once the kept instances are
-matched between the two sides.
+Everything is exact integer arithmetic, no floating point anywhere.  One
+builder turns a parametric presentation into abelianized relator rows:
+`_domains` gives each generator block its index interval over a window
+(the window plus the block's trim), and `_rows` reads from each
+template's letter offsets the interval of m it fits into and writes one
+sparse row per instance, keyed by (family, fixed, index) columns.  The
+sparse core `_invariants` reads the invariants of such rows by unit-pivot
+elimination: zero rows and rows equal to another row or its negation are
+dropped, and each +-1 pivot, chosen to keep fill-in low, removes one row
+and one column as one unit invariant factor (Havas, Holt and Rees 1993;
+Havas, Majewski and Matthews 1998).  Only the distinct rows of the small
+remainder go through `snf`, the dense Smith normal form that also returns
+the unimodular certificates U and V.  The window profiles and the
+step-by-step truncation comparison for simplification scripts both use
+this builder; after every script step the truncated abelianization must
+present the same group, once the kept instances are matched between the
+two sides.  `presets.instantiate` followed by the dense `relation_matrix`
+spells out the same rows letter by letter and is the builder's oracle.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Iterable, Optional, Sequence
 
 from . import presets
 from .errors import BadRank, EmptyWindow, ShapeMismatch, WindowTooNarrow
-from .presets import FinitePresentation, Presentation, instantiate
-from .words import TemplateWord, parse_template
+from .presets import FinitePresentation, Presentation
+from .words import TemplateWord, parse_template, print_template
 
 Matrix = list[list[int]]
 
@@ -127,30 +133,40 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[list[int], Matrix, Matrix]:
 
 
 def invariants(matrix: Sequence[Sequence[int]], cols: Optional[int] = None) -> dict:
-    """Torsion coefficients and free rank of coker(M).
+    """Torsion coefficients and free rank of coker(M) for a dense matrix.
 
-    Unit pivots are eliminated on sparse rows first; `snf` then
-    diagonalises only the dense remainder.
+    `cols` defaults to the matrix width and must equal it for a nonempty
+    matrix.
     """
     width = len(matrix[0]) if matrix else 0
     if cols is None:
         cols = width
-    rows: dict[int, dict[int, int]] = {}
-    colrows: dict[int, set] = {}
-    seen = set()
+    if matrix and width != cols:
+        raise ShapeMismatch("matrix has %d columns, not %d" % (width, cols))
     for vec in matrix:
         if len(vec) != width:
             raise ShapeMismatch("ragged matrix")
-        row = {j: int(x) for j, x in enumerate(vec) if x}
+    return _invariants([{j: int(x) for j, x in enumerate(vec) if x} for vec in matrix], cols)
+
+
+def _invariants(vectors: Iterable[dict], cols: int) -> dict:
+    """Torsion coefficients and free rank of the cokernel of sparse rows.
+
+    Each row maps column keys to nonzero entries; `cols` counts every
+    column, touched or not.  Unit pivots are eliminated on the sparse
+    rows first; `snf` then diagonalises only the distinct remaining rows.
+    """
+    rows: dict[int, dict] = {}
+    colrows: dict = {}
+    seen = set()
+    for vec in vectors:
+        key = frozenset(vec.items())
         # a row and its negation state the same relation
-        key = tuple(row.items())
-        if key and key[0][1] < 0:
-            key = tuple((j, -x) for j, x in key)
-        if key and key not in seen:
+        if key and key not in seen and frozenset((j, -x) for j, x in vec.items()) not in seen:
             seen.add(key)
-            for j in row:
+            for j in vec:
                 colrows.setdefault(j, set()).add(len(rows))
-            rows[len(rows)] = row
+            rows[len(rows)] = dict(vec)
     units = 0
     while True:
         # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in
@@ -185,8 +201,8 @@ def invariants(matrix: Sequence[Sequence[int]], cols: Optional[int] = None) -> d
             if not colrows[j]:
                 del colrows[j]
         units += 1
-    remaining = sorted(colrows)
-    diag, _, _ = snf([[row.get(j, 0) for j in remaining] for row in rows.values()])
+    remainder = dict.fromkeys(tuple(row.get(j, 0) for j in colrows) for row in rows.values())
+    diag, _, _ = snf(list(remainder))
     nonzero = [d for d in diag if d]
     torsion = [d for d in nonzero if d != 1]
     return {"torsion": torsion, "free_rank": cols - units - len(nonzero)}
@@ -211,6 +227,73 @@ def relation_matrix(fp: FinitePresentation) -> tuple[Matrix, list]:
     return rows, cols
 
 
+def _domains(p: Presentation, window: tuple[int, int]) -> dict:
+    """Index interval of each generator block: {(family, fixed): (lo, hi) or None}.
+
+    A windowed block gets the window adjusted by its family's trim (an
+    empty interval has lo > hi); a block without a window index gets None.
+    """
+    lo, hi = window
+    if lo > hi:
+        raise EmptyWindow("window [%d, %d] is empty" % (lo, hi))
+    doms = {}
+    for gen in p.generators:
+        if gen.windowed:
+            dlo, dhi = p.trim_for(gen.family)
+            doms[gen.family, gen.fixed] = (lo + dlo, hi + dhi)
+        else:
+            doms[gen.family, gen.fixed] = None
+    return doms
+
+
+def _width(domains: dict) -> int:
+    return sum(1 if d is None else max(0, d[1] - d[0] + 1) for d in domains.values())
+
+
+def _span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
+    """t's letters as (column prefix, window variable, offset, exponent), and
+    the interval [lo, hi] of m that puts every letter inside its domain.
+
+    lo and hi stay infinite for a window-free template whose constant
+    indices lie in their domains.  A letter of no declared block raises.
+    """
+    letters, lo, hi = [], -math.inf, math.inf
+    for fam, exprs, exp in t.letters:
+        (var, off), fixed = exprs[0], tuple(v for _, v in exprs[1:])
+        if var is None and domains.get((fam, (off,) + fixed), ()) is None:
+            letters.append(((fam, (off,) + fixed), None, None, exp))
+            continue
+        dom = domains.get((fam, fixed))
+        if dom is None:
+            raise ShapeMismatch("relator letter %s is in no declared generator block"
+                                % print_template(TemplateWord(((fam, exprs, exp),))))
+        letters.append(((fam, fixed), var, off, exp))
+        if var is not None:
+            lo, hi = max(lo, dom[0] - off), min(hi, dom[1] - off)
+        elif not dom[0] <= off <= dom[1]:
+            lo, hi = max(lo, 1), min(hi, 0)
+    return letters, lo, hi
+
+
+def _rows(p: Presentation, domains: dict) -> dict:
+    """Abelianized relator instances: {(label, m): {(family, fixed, index): exponent}}.
+
+    A windowed template is instantiated at every m in the interval its
+    letter offsets allow; a window-free one once, with m = None.  Fixed
+    generators have index None.
+    """
+    rows = {}
+    for inst in p.relators:
+        letters, lo, hi = _span(inst.template, domains)
+        for m in [None] if lo == -math.inf else range(lo, hi + 1):
+            row: dict = {}
+            for prefix, var, off, exp in letters:
+                col = prefix + (off if var is None else m + off,)
+                row[col] = row.get(col, 0) + exp
+            rows[inst.label, m] = {c: e for c, e in row.items() if e}
+    return rows
+
+
 def abelianization(p, window: Optional[tuple[int, int]] = None) -> dict:
     """Invariants of the abelianized presentation over one window.
 
@@ -220,23 +303,26 @@ def abelianization(p, window: Optional[tuple[int, int]] = None) -> dict:
     if isinstance(p, Presentation):
         if window is None:
             raise EmptyWindow("a parametric presentation needs a window")
-        fp = instantiate(p, window)
-        present = {label.split("@")[0] for label, _ in fp.relators}
+        domains = _domains(p, window)
+        rows = _rows(p, domains)
+        present = {label for label, _ in rows}
         for inst in p.relators:
             if inst.label not in present:
                 raise WindowTooNarrow(
                     "window [%d, %d] instantiates no %s relator"
                     % (window[0], window[1], inst.label)
                 )
+        cols = _width(domains)
+        inv = _invariants(rows.values(), cols)
     else:
-        fp = p
-    matrix, cols = relation_matrix(fp)
-    inv = invariants(matrix, len(cols))
+        matrix, gens = relation_matrix(p)
+        cols, rows = len(gens), matrix
+        inv = invariants(matrix, cols)
     out = {
         "torsion": inv["torsion"],
         "free_rank": inv["free_rank"],
-        "generators": len(cols),
-        "relator_instances": len(matrix),
+        "generators": cols,
+        "relator_instances": len(rows),
     }
     if window is not None:
         out["window"] = list(window)
@@ -333,119 +419,27 @@ def f_killed_quotient(p: Presentation) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _domains(p: Presentation, window: tuple[int, int], override=None) -> dict:
-    lo, hi = window
-    doms = {}
-    for gen in p.generators:
-        key = (gen.family, gen.fixed)
-        if gen.windowed:
-            if override and key in override:
-                doms[key] = override[key]
-            else:
-                doms[key] = set(range(lo, hi + 1))
-        else:
-            doms[key] = None
-    return doms
-
-
-def _letter_column(letter):
-    fam, exprs, _ = letter
-    var, off = exprs[0]
-    consts = tuple(v for _, v in exprs[1:])
-    if var == "m":
-        return (fam, consts), off
-    return (fam, tuple(v for _, v in exprs)), None
-
-
-def _instance_valid(t: TemplateWord, m: Optional[int], doms: dict) -> bool:
-    for letter in t.letters:
-        key, off = _letter_column(letter)
-        if key not in doms:
-            return False
-        if off is not None:
-            if m is None or (m + off) not in doms[key]:
-                return False
-    return True
-
-
-def _instance_row(t: TemplateWord, m: Optional[int], colindex: dict) -> list[int]:
-    vec = [0] * len(colindex)
-    for letter in t.letters:
-        key, off = _letter_column(letter)
-        col = key + ((m + off),) if off is not None else key + (None,)
-        vec[colindex[col]] += letter[2]
-    return vec
-
-
-def _columns(doms: dict) -> dict:
-    cols = []
-    for key in sorted(doms, key=lambda k: (k[0], k[1])):
-        dom = doms[key]
-        if dom is None:
-            cols.append(key + (None,))
-        else:
-            for m in sorted(dom):
-                cols.append(key + (m,))
-    return {col: i for i, col in enumerate(cols)}
-
-
-def _candidate_ms(t: TemplateWord, window: tuple[int, int]) -> range:
-    offs = t.m_offsets()
-    if not offs:
-        return range(0)
-    lo, hi = window
-    return range(lo - max(offs), hi - min(offs) + 1)
-
-
 def step_invariants(
     before: Presentation, after: Presentation, record: dict, window: tuple[int, int]
 ) -> tuple[dict, dict]:
     """Matched truncated invariants on both sides of one script step.
 
     A relator instance is kept only when it stays inside the window both
-    before and after the step; for an elimination the removed family is
-    restricted to the indices whose replacement words fit the window.
+    before and after the step, or when the step removed its relator; for
+    an elimination the removed family is restricted to the indices whose
+    replacement words fit the window.
     """
-    lo, hi = window
-    override = None
+    doms_b, doms_a = _domains(before, window), _domains(after, window)
     if record["op"] == "eliminate":
-        fam, fixed = record["family"], tuple(record["fixed"])
-        rep = parse_template(record["replacement"])
-        offs = rep.m_offsets()
-        if offs:
-            d_lo, d_hi = max(lo, lo - min(offs)), min(hi, hi - max(offs))
-        else:
-            d_lo, d_hi = lo, hi
-        override = {(fam, fixed): set(range(d_lo, d_hi + 1))}
-    doms_b = _domains(before, window, override)
-    doms_a = _domains(after, window)
-    cols_b = _columns(doms_b)
-    cols_a = _columns(doms_a)
-    after_templates = {inst.label: inst.template for inst in after.relators}
-    rows_b: Matrix = []
-    rows_a: Matrix = []
-    for inst in before.relators:
-        tb = inst.template
-        ta = after_templates.get(inst.label)
-        if inst.windowed() or (ta is not None and ta.m_offsets()):
-            ms: set = set(_candidate_ms(tb, window))
-            if ta is not None:
-                ms |= set(_candidate_ms(ta, window))
-            candidates = sorted(ms)
-        else:
-            candidates = [None]
-        for m in candidates:
-            ok_b = _instance_valid(tb, m, doms_b)
-            if ta is None:
-                if ok_b:
-                    rows_b.append(_instance_row(tb, m, cols_b))
-                continue
-            if ok_b and _instance_valid(ta, m, doms_a):
-                rows_b.append(_instance_row(tb, m, cols_b))
-                rows_a.append(_instance_row(ta, m, cols_a))
+        key = (record["family"], tuple(record["fixed"]))
+        _, lo, hi = _span(parse_template(record["replacement"]), doms_a)
+        doms_b[key] = (max(doms_b[key][0], lo), min(doms_b[key][1], hi))
+    rows_b, rows_a = _rows(before, doms_b), _rows(after, doms_a)
+    labels_a = {inst.label for inst in after.relators}
+    kept = [k for k in rows_b if k in rows_a or k[0] not in labels_a]
     return (
-        invariants(rows_b, len(cols_b)),
-        invariants(rows_a, len(cols_a)),
+        _invariants([rows_b[k] for k in kept], _width(doms_b)),
+        _invariants([rows_a[k] for k in kept if k in rows_a], _width(doms_a)),
     )
 
 

@@ -4,13 +4,16 @@ The invariant factors are cross-checked against a minor-gcd oracle
 built here from a fraction-free Bareiss determinant, so the two sides
 share no code.  The window profiles and the per-step truncation
 comparison are pinned to their stable values.  The sparse invariants
-are checked against the diagonal of the dense certified Smith form.
+are checked against the diagonal of the dense certified Smith form, and
+the template-to-row builder against the Words that `instantiate` spells
+out, made dense by `relation_matrix`.
 """
 
 import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -44,10 +47,12 @@ from braidsub.presets import (
     instantiate,
     reduced_presentation,
     vb3_final_presentation,
+    wb3_final_presentation,
+    wb4_final_presentation,
 )
 from braidsub.rewriting import template_canon_key
 from braidsub.tietze import run_script
-from braidsub.words import parse_template, parse_word
+from braidsub.words import Symbol, parse_template, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +186,11 @@ def test_invariants_of_cokernel():
     assert invariants([[0]]) == {"torsion": [], "free_rank": 1}
     assert invariants([[1, 0]]) == {"torsion": [], "free_rank": 1}
     assert invariants([], cols=3) == {"torsion": [], "free_rank": 3}
+    # cols must be the width of a nonempty matrix
+    with pytest.raises(ShapeMismatch):
+        invariants([[2, 0]], cols=1)
+    with pytest.raises(ShapeMismatch):
+        invariants([[1, 0]], cols=3)
     assert invariants([[2, 0], [0, 2]]) == {"torsion": [2, 2], "free_rank": 0}
     # a ragged matrix is rejected before any row is dropped or reduced
     with pytest.raises(ShapeMismatch):
@@ -223,21 +233,28 @@ def test_invariants_match_dense_snf(case):
 
 
 def test_invariants_match_dense_snf_on_catalog_matrices(monkeypatch):
-    # every matrix the window profiles and the WB4 step checks build
+    # every row set the window profiles and the WB4 step checks hand to
+    # the sparse core, made dense over its columns
     seen = []
+    core = abelianize._invariants
 
-    def record(matrix, cols=None):
-        seen.append((matrix, cols))
-        return invariants(matrix, cols)
+    def record(vectors, cols):
+        vectors = [dict(v) for v in vectors]
+        out = core(vectors, cols)
+        seen.append((vectors, cols, out))
+        return out
 
-    monkeypatch.setattr(abelianize, "invariants", record)
+    monkeypatch.setattr(abelianize, "_invariants", record)
     for group in ("vb", "wb"):
         for n in (3, 4, 5, 6):
             stabilization_profile(group, n, ((-4, 4), (-6, 6), (-8, 8)))
     check_script_truncation(run_script("WB4_REDUCE"))
     assert len(seen) > 24
-    for matrix, cols in seen:
-        assert invariants(matrix, cols) == dense_invariants(matrix, cols)
+    for vectors, cols, out in seen:
+        columns = list(dict.fromkeys(c for v in vectors for c in v))
+        assert len(columns) <= cols
+        matrix = [[v.get(c, 0) for c in columns] + [0] * (cols - len(columns)) for v in vectors]
+        assert out == dense_invariants(matrix, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +281,49 @@ def test_relation_matrix_rejects_foreign_letters():
     fp = FinitePresentation((sym,), (("r", parse_word("a(0)")),))
     with pytest.raises(ShapeMismatch):
         relation_matrix(fp)
+    # the template builder rejects a letter outside every declared block
+    gens = (GeneratorFamily("f", (0,)),)
+    cube = FamilyInstance("cube", parse_template("f(m,0) f(m,0) f(m,0)"))
+    stray = FamilyInstance("cube", parse_template("f(m,0) f(m,0) f(m,0) b(m,1)"))
+    before = Presentation("vb", 3, gens, (cube,))
+    after = Presentation("vb", 3, gens, (stray,))
+    with pytest.raises(ShapeMismatch, match=r"b\(m,1\)"):
+        abelianize.step_invariants(before, after, {"op": "rotate"}, (-2, 2))
+    with pytest.raises(ShapeMismatch):
+        abelianization(after, (-2, 2))
+
+
+def builder_cases():
+    for group in ("vb", "wb"):
+        for n in range(3, 9):
+            yield derived_presentation(group, n)
+            yield reduced_presentation(group, n)
+    yield vb3_final_presentation()
+    yield wb3_final_presentation()  # trimmed a block
+    yield wb4_final_presentation()
+
+
+def test_template_builder_matches_instantiate():
+    # oracle: Words spelled out by instantiate, then the dense relation matrix
+    for p in builder_cases():
+        for window in ((-2, 2), (-4, 4), (-8, 8), (-3, 5)):
+            matrix, gens = relation_matrix(instantiate(p, window))
+            domains = abelianize._domains(p, window)
+            rows = abelianize._rows(p, domains)
+            built = Counter(
+                frozenset((Symbol(fam, fixed if m is None else (m,) + fixed), e)
+                          for (fam, fixed, m), e in row.items())
+                for row in rows.values()
+            )
+            spelled = Counter(
+                frozenset((gens[j], x) for j, x in enumerate(vec) if x) for vec in matrix
+            )
+            case = (p.group, p.n, window)
+            assert built == spelled, case
+            assert abelianize._width(domains) == len(gens), case
+            assert len(rows) == len(matrix), case
+    with pytest.raises(EmptyWindow):
+        abelianization(vb3_final_presentation(), (2, -2))
 
 
 def test_abelianization_window_handling():
@@ -277,7 +337,8 @@ def test_abelianization_window_handling():
     fp = instantiate(p, (-3, 3))
     flat = abelianization(fp)
     assert "window" not in flat
-    assert flat["torsion"] == out["torsion"]
+    for key in ("torsion", "free_rank", "generators", "relator_instances"):
+        assert flat[key] == out[key], key
 
 
 def test_abelian_invariants_reduced_and_derived():
@@ -390,7 +451,7 @@ def test_f_killed_quotient():
 
 
 def test_script_truncation_agreement():
-    for name in ("VB3_REDUCE", "WB4_REDUCE"):
+    for name in ("VB3_REDUCE", "VBN_REDUCE", "WB3_REDUCE", "WB4_REDUCE", "WBN_REDUCE"):
         res = run_script(name)
         out = check_script_truncation(res)
         assert out["agree"], name
@@ -403,6 +464,14 @@ def test_script_truncation_agreement():
             i for i, (rec, _) in enumerate(res.steps) if rec["op"] == "eliminate"
         ]
         assert set(elim_records) <= elim_steps
+    # at rank 7 the replacement of g(m,6) reads f(m-7,0)..f(m-5,0), inside
+    # [-2, 2] for no m in [-2, 2]: the eliminated block keeps no index and
+    # adds no column
+    out = check_script_truncation(run_script("WBN_REDUCE", 7), ((-2, 2),))
+    assert out["agree"]
+    step = next(s for s in out["steps"] if s["step"] == 13)
+    assert step["text"].startswith("eliminate g(m,6)")
+    assert step["before"] == step["after"] == {"torsion": [], "free_rank": 0}
 
 
 def test_derived_catalog_invariants_match_reduced():
