@@ -232,6 +232,43 @@ def test_invariants_match_dense_snf(case):
     assert invariants(mat, cols) == dense_invariants(mat, cols)
 
 
+@st.composite
+def unit_heavy_matrices(draw):
+    """Larger, mostly-unit matrices: every pivot changes many rows, so the
+    heap of pivot candidates holds entries gone stale (no longer +-1, or
+    no longer present) when they are popped."""
+    cols = draw(st.integers(min_value=1, max_value=15))
+    entries = draw(st.sampled_from(([0] * 4 + [1, -1] * 3 + [2, -3],
+                                    [0] * 10 + [1, -1] * 2 + [2])))
+    row = st.lists(st.sampled_from(entries), min_size=cols, max_size=cols)
+    return draw(st.lists(row, max_size=30)), cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_heavy_matrices())
+def test_invariants_match_dense_snf_on_unit_heavy_matrices(case):
+    mat, cols = case
+    assert invariants(mat, cols) == dense_invariants(mat, cols)
+
+
+def test_unit_elimination_leaves_a_small_remainder(monkeypatch):
+    # fill-in guard: a worse pivot order grows the matrix handed to snf
+    handed = []
+    dense = abelianize.snf
+
+    def record(matrix):
+        handed.append(matrix)
+        return dense(matrix)
+
+    monkeypatch.setattr(abelianize, "snf", record)
+    for n, window, max_rows, max_cols in ((8, (-8, 8), 26, 6), (9, (-10, 10), 34, 7)):
+        handed.clear()
+        assert abelian_invariants("vb", n, window)["torsion"] == []
+        (matrix,) = handed
+        assert len(matrix) <= max_rows, (n, len(matrix))
+        assert all(len(row) <= max_cols for row in matrix), n
+
+
 def test_invariants_match_dense_snf_on_catalog_matrices(monkeypatch):
     # every row set the window profiles and the WB4 step checks hand to
     # the sparse core, made dense over its columns
@@ -451,13 +488,14 @@ def test_f_killed_quotient():
 
 
 def test_script_truncation_agreement():
-    for name in ("VB3_REDUCE", "VBN_REDUCE", "WB3_REDUCE", "WB4_REDUCE", "WBN_REDUCE"):
-        res = run_script(name)
+    for name, n in (("VB3_REDUCE", None), ("VBN_REDUCE", None), ("VBN_REDUCE", 8),
+                    ("WB3_REDUCE", None), ("WB4_REDUCE", None), ("WBN_REDUCE", None)):
+        res = run_script(name, n)
         out = check_script_truncation(res)
-        assert out["agree"], name
+        assert out["agree"], (name, n)
         assert out["script"] == name
         for step in out["steps"]:
-            assert step["agree"], (name, step["text"], step["window"])
+            assert step["agree"], (name, n, step["text"], step["window"])
         # every elimination shows up at every window
         elim_steps = {s["step"] for s in out["steps"]}
         elim_records = [
