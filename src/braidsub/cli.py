@@ -50,10 +50,12 @@ def _dump_json(obj) -> str:
 
 
 def _write_report(name: str, obj) -> str:
-    path = os.path.join(_outdir(), name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(obj))
-    return path
+    """Write ``obj`` as JSON into the report directory and return the text,
+    so that ``--format json`` prints it without serialising it again."""
+    text = _dump_json(obj)
+    with open(os.path.join(_outdir(), name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +157,16 @@ def cmd_verify(args) -> int:
         group = _lemma_group(lemma, args.group)
         reports.append(_sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
     obj = reports[0] if args.lemma != "ALL" else {"n": args.n, "lemmas": reports}
-    name = "verify-%s.json" % args.lemma
-    _write_report(name, obj)
+    text = _write_report("verify-%s.json" % args.lemma, obj)
     mismatches = 0
     for rep in reports:
         for case in rep["cases"]:
             if case["verdict"] == "MISMATCH":
                 mismatches += 1
     if args.format == "json":
-        sys.stdout.write(_dump_json(obj))
+        sys.stdout.write(text)
     else:
+        del text  # the serialised report is not kept alive while printing
         for rep in reports:
             sys.stdout.write(
                 "%s (%s, n=%d): %d cases\n" % (rep["lemma"], rep["group"], rep["n"], len(rep["cases"]))
@@ -411,10 +413,11 @@ def build_report() -> dict:
 
 def cmd_report(args) -> int:
     obj = build_report()
-    _write_report("report.json", obj)
+    text = _write_report("report.json", obj)
     if args.format == "json":
-        sys.stdout.write(_dump_json(obj))
+        sys.stdout.write(text)
     else:
+        del text
         for r in obj["rows"]:
             sys.stdout.write("%-4s %-16s %s\n" % (r["status"], r["claim"], r["statement"]))
             if r["status"] != "pass":

@@ -427,7 +427,14 @@ def _conjugation_cases(n: int) -> list[dict]:
 
 
 def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2, 2)) -> dict:
-    """Re-derive one statement table and compare case by case."""
+    """Re-derive one statement table and compare case by case.
+
+    Each (relator, twist) pair is rewritten once, at the base position,
+    and its stated template is bound once; every window position m then
+    shifts that base word and instantiates that template.  The engine
+    word is printed once, and an exact (tier "a") case reuses its text as
+    the paper word.
+    """
     presets.check_rank(n)
     if lemma not in presets.LEMMA_IDS:
         raise ParseError("unknown statement id %r" % lemma)
@@ -444,25 +451,27 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
         ambient = fams[fam_label]
         cases = []
         for params, r in ambient.cases:
+            ptxt = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
             for twisted in (False, True):
                 mapped = presets.lemma_case_map(lemma, params, twisted)
                 aux_note = None
-                if mapped is not None and table[mapped[0]].note:
-                    aux_note = "%s: %s" % (table[mapped[0]].label, table[mapped[0]].note)
+                stated_t = None
+                if mapped is not None:
+                    idx, aux = mapped
+                    stated_t = table[idx].template.bind(**aux)
+                    if table[idx].note:
+                        aux_note = "%s: %s" % (table[idx].label, table[idx].note)
+                base = derive_relation(r, 0, twisted)
                 for m in range(m_range[0], m_range[1] + 1):
-                    engine = derive_relation(r, m, twisted)
-                    if mapped is None:
-                        stated = Word()
-                    else:
-                        idx, aux = mapped
-                        stated = table[idx].template.bind(**aux).instantiate(m=m)
+                    engine = base.shift(m)
+                    stated = Word() if stated_t is None else stated_t.instantiate(m=m)
                     tier, verdict = compare_words(engine, stated, group)
-                    ptxt = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
+                    engine_text = print_word(engine)
                     cases.append(
                         {
                             "params": "%s,m=%d,twist=%d" % (ptxt, m, int(twisted)),
-                            "engine_word": print_word(engine),
-                            "paper_word": print_word(stated),
+                            "engine_word": engine_text,
+                            "paper_word": engine_text if tier == "a" else print_word(stated),
                             "tier": tier,
                             "verdict": verdict,
                         }

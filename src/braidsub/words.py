@@ -75,6 +75,15 @@ class Symbol:
     def __post_init__(self) -> None:
         _validate(self.family, self.indices)
 
+    @classmethod
+    def _trusted(cls, family: str, indices: tuple) -> "Symbol":
+        """Build a symbol without validation, for indices already known
+        to be valid (such as a shift of a valid symbol's window index)."""
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "family", family)
+        object.__setattr__(sym, "indices", indices)
+        return sym
+
     def key(self) -> tuple:
         return (_FAMILY_RANK.get(self.family, 99), self.family, self.indices)
 
@@ -136,6 +145,13 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _reduce(letters))
+
+    @classmethod
+    def _trusted(cls, letters: tuple) -> "Word":
+        """Wrap a letter tuple that is already freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -212,13 +228,19 @@ class Word:
         return Word(out)
 
     def shift(self, k: int) -> "Word":
-        """Add ``k`` to the window index of every a/b/f/g letter."""
+        """Add ``k`` to the window index of every a/b/f/g letter.
+
+        Validation puts no constraint on a window index, and the shift maps
+        symbols one-to-one, so the shifted symbols are built unchecked and
+        the result, reduced like its input, is not reduced again.
+        """
+        trusted = Symbol._trusted
         out = []
         for sym, exp in self.letters:
             if sym.family in M_FAMILIES:
-                sym = Symbol(sym.family, (sym.indices[0] + k,) + sym.indices[1:])
+                sym = trusted(sym.family, (sym.indices[0] + k,) + sym.indices[1:])
             out.append((sym, exp))
-        return Word(out)
+        return Word._trusted(tuple(out))
 
     def cyclic_reduce(self) -> "Word":
         letters = list(self.letters)
@@ -475,4 +497,7 @@ def print_template(t: TemplateWord) -> str:
 
 
 def print_word(w: Word) -> str:
-    return print_template(lift(w))
+    """Print a concrete word; the same text as ``print_template(lift(w))``."""
+    if not w.letters:
+        return "1"
+    return " ".join(str(sym) if exp == 1 else "%s^-1" % sym for sym, exp in w.letters)

@@ -488,8 +488,10 @@ def test_f_killed_quotient():
 
 
 def test_script_truncation_agreement():
-    for name, n in (("VB3_REDUCE", None), ("VBN_REDUCE", None), ("VBN_REDUCE", 8),
-                    ("WB3_REDUCE", None), ("WB4_REDUCE", None), ("WBN_REDUCE", None)):
+    for name, n in (("VB3_REDUCE", None), ("VBN_REDUCE", None), ("VBN_REDUCE", 5),
+                    ("VBN_REDUCE", 6), ("VBN_REDUCE", 7), ("VBN_REDUCE", 8),
+                    ("WB3_REDUCE", None), ("WB4_REDUCE", None), ("WBN_REDUCE", None),
+                    ("WBN_REDUCE", 6)):
         res = run_script(name, n)
         out = check_script_truncation(res)
         assert out["agree"], (name, n)

@@ -16,11 +16,13 @@ from braidsub import rewriting
 from braidsub.cosets import ORIGIN, closed_form, expansion, phi, representative
 from braidsub.errors import NotConverged, NotInKernel, ParseError
 from braidsub.presets import (
+    LEMMA_TABLES,
     FamilyInstance,
     GeneratorFamily,
     Presentation,
     ambient_families,
     derived_presentation,
+    lemma_case_map,
 )
 from braidsub.rewriting import (
     assemble,
@@ -46,11 +48,13 @@ from braidsub.rewriting import (
 from braidsub.tietze import torsion_reduce_relator
 from braidsub.words import (
     _FAMILY_RANK,
+    M_FAMILIES,
     Symbol,
     TemplateWord,
     Word,
     a,
     f,
+    lift,
     parse_template,
     parse_word,
     print_template,
@@ -241,6 +245,23 @@ def test_twisted_route_divergence_frozen():
     assert print_word(derive_relation_direct(r, 0, True)) == "b(0,1) c(4) b(1,1)^-1 c(4)^-1"
 
 
+# Relators on the first strands, where the two routes agree twisted too.
+low_ambient_letters = st.lists(
+    st.tuples(st.sampled_from([sigma(1), sigma(2), rho(1), rho(2)]), st.sampled_from([-1, 1])),
+    max_size=40,
+)
+
+
+@given(ambient_letters | low_ambient_letters)
+def test_derivation_routes_agree_on_random_relators(letters):
+    w = kernel_word(letters)
+    small = all(sym.indices[0] <= 2 for sym, _ in w)
+    for m in range(-3, 4):
+        assert derive_relation(w, m) == derive_relation_direct(w, m)
+        if small:
+            assert derive_relation(w, m, True) == derive_relation_direct(w, m, True)
+
+
 def test_derive_shifts_the_window_index():
     r = ambient_families("vb", 3)[1].cases[0][1]  # the adjacent braid triple
     base = derive_relation(r, 0)
@@ -424,6 +445,51 @@ def test_verify_lemma_shapes():
         verify_lemma("L5_2", "vb", 4)
 
 
+def _verify_cases_per_m(lemma, group, n, m_range):
+    """The statement cases derived the slow way: every window position
+    rewrites its relator again, binds its stated template again, and
+    prints both words through a template."""
+    fam_label, table, _ = LEMMA_TABLES[lemma]
+    ambient = {af.label: af for af in ambient_families(group, n)}[fam_label]
+    cases = []
+    for params, r in ambient.cases:
+        # the direct route, except where it is known to differ (see
+        # test_derivation_routes_agree)
+        small = all(sym.indices[0] <= 2 for sym, _ in r)
+        for twisted in (False, True):
+            mapped = lemma_case_map(lemma, params, twisted)
+            for m in range(m_range[0], m_range[1] + 1):
+                if twisted and not small:
+                    engine = derive_relation(r, m, True)
+                else:
+                    engine = derive_relation_direct(r, m, twisted)
+                if mapped is None:
+                    stated = Word()
+                else:
+                    idx, aux = mapped
+                    stated = table[idx].template.bind(**aux).instantiate(m=m)
+                tier, verdict = compare_words(engine, stated, group)
+                ptxt = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
+                cases.append(
+                    {
+                        "params": "%s,m=%d,twist=%d" % (ptxt, m, int(twisted)),
+                        "engine_word": print_template(lift(engine)),
+                        "paper_word": print_template(lift(stated)),
+                        "tier": tier,
+                        "verdict": verdict,
+                    }
+                )
+    return cases
+
+
+def test_verify_lemma_matches_per_m_derivation():
+    runs = [(lemma, "vb") for lemma, (_, _, needs) in LEMMA_TABLES.items() if needs == "vb"]
+    for n in (4, 5):
+        for lemma, group in runs + [("L5_2", "wb")]:
+            got = verify_lemma(lemma, group, n, (-3, 3))["cases"]
+            assert got == _verify_cases_per_m(lemma, group, n, (-3, 3)), (lemma, n)
+
+
 def test_m_lift():
     w = parse_word("a(2) c(3) f(5,0)^-1")
     t = m_lift(w)
@@ -462,3 +528,48 @@ def test_assemble_can_keep_the_square_bit():
     for inst in p.relators:
         assert not any(fam == "f" and exprs[1:] == ((None, 1),) for fam, exprs, _ in inst.template)
     assert not any(inst.label.startswith("symmetric-involution[i=2]") for inst in p.relators)
+
+
+# ---------------------------------------------------------------------------
+# The trusted fast paths of words: printing and shifting
+# ---------------------------------------------------------------------------
+
+
+def _shift_by_constructor(w, k):
+    """Shift through the validating Symbol and reducing Word constructors."""
+    return Word(
+        [
+            (Symbol(sym.family, (sym.indices[0] + k,) + sym.indices[1:]), e)
+            if sym.family in M_FAMILIES
+            else (sym, e)
+            for sym, e in w
+        ]
+    )
+
+
+@given(ambient_letters, subgroup_letters, st.integers(min_value=-50, max_value=50))
+def test_print_word_matches_template_printer(amb, sub, k):
+    for w in (Word(amb), _shift_by_constructor(Word(sub), k), Word()):
+        assert print_word(w) == print_template(lift(w))
+
+
+@given(subgroup_letters, st.integers(min_value=-50, max_value=50))
+def test_shift_matches_validating_constructors(letters, k):
+    w = Word(letters)
+    oracle = _shift_by_constructor(w, k)
+    shifted = w.shift(k)
+    assert shifted == oracle
+    assert hash(shifted) == hash(oracle)
+    assert shifted.shift(-k) == w
+
+
+def test_bad_symbols_still_raise():
+    for family, indices in (("c", (2,)), ("b", (0, 2)), ("f", (-3, 5)), ("g", (-1, 2)), ("sigma", (0,))):
+        with pytest.raises(ParseError):
+            Symbol(family, indices)
+    for text in ("c(2)", "b(0,2)", "g(-4,1)", "s0", "a(1,2)"):
+        with pytest.raises(ParseError):
+            parse_word(text)
+    for text, aux in (("c(i)", {"i": 2}), ("f(m,i)", {"i": 2}), ("g(m,i)", {"i": 1})):
+        with pytest.raises(ParseError):
+            parse_template(text).instantiate(m=-7, **aux)
