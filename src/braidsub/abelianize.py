@@ -328,39 +328,32 @@ def _rows(p: Presentation, domains: dict) -> dict:
     return rows
 
 
-def abelianization(p, window: Optional[tuple[int, int]] = None) -> dict:
+def abelianization(p: Presentation, window: Optional[tuple[int, int]] = None) -> dict:
     """Invariants of the abelianized presentation over one window.
 
     A parametric presentation is instantiated over the window, which must
     instantiate every relator family at least once.
     """
-    if isinstance(p, Presentation):
-        if window is None:
-            raise EmptyWindow("a parametric presentation needs a window")
-        domains = _domains(p, window)
-        rows = _rows(p, domains)
-        present = {label for label, _ in rows}
-        for inst in p.relators:
-            if inst.label not in present:
-                raise WindowTooNarrow(
-                    "window [%d, %d] instantiates no %s relator"
-                    % (window[0], window[1], inst.label)
-                )
-        cols = _width(domains)
-        inv = _invariants(rows.values(), cols)
-    else:
-        matrix, gens = relation_matrix(p)
-        cols, rows = len(gens), matrix
-        inv = invariants(matrix, cols)
-    out = {
+    if window is None:
+        raise EmptyWindow("a parametric presentation needs a window")
+    domains = _domains(p, window)
+    rows = _rows(p, domains)
+    present = {label for label, _ in rows}
+    for inst in p.relators:
+        if inst.label not in present:
+            raise WindowTooNarrow(
+                "window [%d, %d] instantiates no %s relator"
+                % (window[0], window[1], inst.label)
+            )
+    cols = _width(domains)
+    inv = _invariants(rows.values(), cols)
+    return {
         "torsion": inv["torsion"],
         "free_rank": inv["free_rank"],
         "generators": cols,
         "relator_instances": len(rows),
+        "window": list(window),
     }
-    if window is not None:
-        out["window"] = list(window)
-    return out
 
 
 DEFAULT_WINDOWS = ((-3, 3), (-4, 4), (-5, 5))

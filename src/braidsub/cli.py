@@ -136,8 +136,6 @@ def cmd_derive(args) -> int:
 def _lemma_group(lemma: str, override) -> str:
     if override:
         return override
-    if lemma in ("L3_1", "CON"):
-        return "vb"
     return presets.LEMMA_TABLES[lemma][2] if lemma in presets.LEMMA_TABLES else "vb"
 
 

@@ -161,9 +161,13 @@ def ambient_presentation(group: str, n: int) -> FinitePresentation:
     rels = []
     for fam in ambient_families(group, n):
         for params, w in fam.cases:
-            tag = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
-            rels.append(("%s[%s]" % (fam.label, tag), w))
+            rels.append(("%s[%s]" % (fam.label, params_text(params)), w))
     return FinitePresentation(gens, tuple(rels))
+
+
+def params_text(params: dict) -> str:
+    """The ``i=1,j=3`` spelling of integer parameters, in name order."""
+    return ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,7 @@ class RelatorFamily:
         for aux in self.domain(n):
             label = self.label
             if aux:
-                label += "[%s]" % ",".join("%s=%d" % (k, aux[k]) for k in sorted(aux))
+                label += "[%s]" % params_text(aux)
             out.append(FamilyInstance(label, self.template.bind(**aux)))
         return out
 
@@ -498,14 +502,19 @@ def _gen_g(n: int) -> list[GeneratorFamily]:
     return [GeneratorFamily("g", (l,)) for l in range(3, n)]
 
 
+def derived_generators(n: int) -> tuple[GeneratorFamily, ...]:
+    """The generator blocks of the derived subgroup at rank n: a, b(0),
+    b(1), the c letters, f(0) and the g blocks (square bit gone)."""
+    return tuple([_GEN_A, _GEN_B0, _GEN_B1] + _gen_c(n) + [_GEN_F] + _gen_g(n))
+
+
 def derived_presentation(group: str, n: int) -> Presentation:
     """The merged derived presentation over a, b, c, f, g (square bit gone)."""
     check_rank(n)
     if n < 3:
         raise BadRank("the derived catalog needs rank >= 3, got %d" % n)
-    gens = [_GEN_A, _GEN_B0, _GEN_B1] + _gen_c(n) + [_GEN_F] + _gen_g(n)
     rels = expand_families(main_families(group), n)
-    return Presentation(group, n, tuple(gens), rels)
+    return Presentation(group, n, derived_generators(n), rels)
 
 
 def vb3_initial_presentation() -> Presentation:
@@ -646,7 +655,7 @@ def reduced_presentation(group: str, n: int) -> Presentation:
 # bit explicit (the merged catalogs above have it eliminated).  A family
 # stated word for word as in the merged catalog is named by its catalog
 # label; only the differing spellings are written out.  Positions matter:
-# lemma_case_map indexes the tables.
+# CASE_RULES indexes the tables.
 
 
 def _statement_table(*entries) -> tuple[RelatorFamily, ...]:
@@ -755,73 +764,43 @@ LEMMA_TABLES = {
 }
 
 
+# How each ambient relator case of a statement maps into its table: per
+# lemma, an ordered tuple of rules (ambient index, its value or None for
+# any other value, family index without the twist, family index with the
+# twist, {stated aux name: ambient index name}).  The first rule whose
+# index takes its value applies; a family index of None marks a case
+# whose rewriting is freely trivial.
+CASE_RULES = {
+    "L3": (("i", 1, None, None, {}), ("i", 2, 0, 2, {"j": "j"}), ("i", None, 1, 3, {"i": "i", "j": "j"})),
+    "L5": (("i", 1, 0, 3, {}), ("i", 2, 1, 4, {}), ("i", None, 2, 5, {"i": "i"})),
+    "L7": (("i", 1, None, None, {}), ("i", 2, 0, 0, {}), ("i", None, 1, 1, {"i": "i"})),
+    "L8": (("i", 1, 3, 3, {"j": "j"}), ("i", 2, 0, 1, {"k": "j"}), ("i", None, 2, 2, {"i": "i", "j": "j"})),
+    "L8_1": (("i", 1, 0, 3, {}), ("i", 2, 1, 4, {}), ("i", None, 2, 2, {"i": "i"})),
+    "L10": (
+        ("j", 1, None, None, {}),
+        ("j", 2, 5, 6, {"j": "i"}),
+        ("i", 1, 0, 1, {"i": "j"}),
+        ("i", 2, 2, 3, {"j": "j"}),
+        ("i", None, 4, 4, {"k": "i", "l": "j"}),
+    ),
+    "L12": (("i", 1, 0, 1, {}), ("i", 2, 2, 3, {}), ("i", None, 4, 4, {"i": "i"})),
+    "L5_2": (("i", 1, 0, 3, {}), ("i", 2, 1, 4, {}), ("i", None, 2, 5, {"i": "i"})),
+}
+
+
 def lemma_case_map(lemma: str, params: dict, twist: bool):
     """Map an ambient relator case to the stated family it must produce.
 
     Returns ``None`` for cases whose rewriting is freely trivial, else a
     pair ``(family_index, aux_binding)`` into the lemma's family table.
     """
-    if lemma == "L3":
-        i, j = params["i"], params["j"]
-        if i == 1:
-            return None
-        if i == 2:
-            return (0, {"j": j}) if not twist else (2, {"j": j})
-        return (1, {"i": i, "j": j}) if not twist else (3, {"i": i, "j": j})
-    if lemma == "L5":
-        i = params["i"]
-        if i == 1:
-            return (0, {}) if not twist else (3, {})
-        if i == 2:
-            return (1, {}) if not twist else (4, {})
-        return (2, {"i": i}) if not twist else (5, {"i": i})
-    if lemma == "L7":
-        i = params["i"]
-        if i == 1:
-            return None
-        if i == 2:
-            return (0, {})
-        return (1, {"i": i})
-    if lemma == "L8":
-        i, j = params["i"], params["j"]
-        if i == 1:
-            return (3, {"j": j})
-        if i == 2:
-            return (0, {"k": j}) if not twist else (1, {"k": j})
-        return (2, {"i": i, "j": j})
-    if lemma == "L8_1":
-        i = params["i"]
-        if i == 1:
-            return (0, {}) if not twist else (3, {})
-        if i == 2:
-            return (1, {}) if not twist else (4, {})
-        return (2, {"i": i})
-    if lemma == "L10":
-        i, j = params["i"], params["j"]
-        if j == 1:
-            return None
-        if j == 2:
-            return (5, {"j": i}) if not twist else (6, {"j": i})
-        if i == 1:
-            return (0, {"i": j}) if not twist else (1, {"i": j})
-        if i == 2:
-            return (2, {"j": j}) if not twist else (3, {"j": j})
-        return (4, {"k": i, "l": j})
-    if lemma == "L12":
-        i = params["i"]
-        if i == 1:
-            return (0, {}) if not twist else (1, {})
-        if i == 2:
-            return (2, {}) if not twist else (3, {})
-        return (4, {"i": i})
-    if lemma == "L5_2":
-        i = params["i"]
-        if i == 1:
-            return (0, {}) if not twist else (3, {})
-        if i == 2:
-            return (1, {}) if not twist else (4, {})
-        return (2, {"i": i}) if not twist else (5, {"i": i})
-    raise ParseError("no case map for lemma %r" % lemma)
+    if lemma not in CASE_RULES:
+        raise ParseError("no case map for lemma %r" % lemma)
+    for key, value, plain, twisted, aux in CASE_RULES[lemma]:
+        if value is None or params[key] == value:
+            idx = twisted if twist else plain
+            return None if idx is None else (idx, {name: params[src] for name, src in aux.items()})
+    raise ParseError("no case rule of %s matches [%s]" % (lemma, params_text(params)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ from .words import (
     TemplateWord,
     Word,
     a,
+    b,
+    c,
     f,
+    g,
     lift,
     parse_template,
     print_word,
@@ -368,19 +371,28 @@ def _rho1_involution_normal(w: Word) -> Word:
     return Word(stack)
 
 
+def _case(params: str, engine: Word, paper: Word, tier: str, verdict: str) -> dict:
+    """One verifier row; an exact (tier "a") case prints its word once."""
+    engine_text = print_word(engine)
+    return {
+        "params": params,
+        "engine_word": engine_text,
+        "paper_word": engine_text if tier == "a" else print_word(paper),
+        "tier": tier,
+        "verdict": verdict,
+    }
+
+
 def _closed_form_cases(n: int, m_range: tuple[int, int]) -> list[dict]:
-    rows = []
-    syms: list[tuple[str, Symbol]] = []
+    syms: list[Symbol] = []
     for m in range(m_range[0], m_range[1] + 1):
-        syms.append(("a(%d)" % m, a(m)))
+        syms.append(a(m))
         for e in (0, 1):
-            syms.append(("b(%d,%d)" % (m, e), Symbol("b", (m, e))))
-            syms.append(("f(%d,%d)" % (m, e), f(m, e)))
-        for l in range(3, n):
-            syms.append(("g(%d,%d)" % (m, l), Symbol("g", (m, l))))
-    for l in range(3, n):
-        syms.append(("c(%d)" % l, Symbol("c", (l,))))
-    for name, sym in syms:
+            syms += [b(m, e), f(m, e)]
+        syms += [g(m, l) for l in range(3, n)]
+    syms += [c(l) for l in range(3, n)]
+    rows = []
+    for sym in syms:
         engine = expansion(sym)
         stated = closed_form(sym)
         if engine == stated:
@@ -389,15 +401,7 @@ def _closed_form_cases(n: int, m_range: tuple[int, int]) -> list[dict]:
             tier, verdict = "b", "equal-after-normalization"
         else:
             tier, verdict = "", "MISMATCH"
-        rows.append(
-            {
-                "params": name,
-                "engine_word": print_word(engine),
-                "paper_word": print_word(stated),
-                "tier": tier,
-                "verdict": verdict,
-            }
-        )
+        rows.append(_case(str(sym), engine, stated, tier, verdict))
     return rows
 
 
@@ -406,23 +410,13 @@ def _conjugation_cases(n: int) -> list[dict]:
     for sym_text, stated_text, aux in presets.CONJUGATION_RULES:
         bindings = [{}] if aux is None else [{aux: v} for v in range(3, n)]
         for bind in bindings:
-            sym_word = parse_template(sym_text).bind(**bind).instantiate()
-            sym = sym_word[0][0]
+            sym = parse_template(sym_text).bind(**bind).instantiate()[0][0]
             stated = parse_template(stated_text).bind(**bind).instantiate()
             engine = rho1_rule(sym)
-            tier, verdict = compare_words(engine, stated, "vb")
-            params = print_word(sym_word)
+            params = str(sym)
             if bind:
-                params += "[%s]" % ",".join("%s=%d" % kv for kv in sorted(bind.items()))
-            rows.append(
-                {
-                    "params": params,
-                    "engine_word": print_word(engine),
-                    "paper_word": print_word(stated),
-                    "tier": tier,
-                    "verdict": verdict,
-                }
-            )
+                params += "[%s]" % presets.params_text(bind)
+            rows.append(_case(params, engine, stated, *compare_words(engine, stated, "vb")))
     return rows
 
 
@@ -430,10 +424,9 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
     """Re-derive one statement table and compare case by case.
 
     Each (relator, twist) pair is rewritten once, at the base position,
-    and its stated template is bound once; every window position m then
-    shifts that base word and instantiates that template.  The engine
-    word is printed once, and an exact (tier "a") case reuses its text as
-    the paper word.
+    and its stated template is instantiated once, at m=0; every window
+    position m then shifts both words.  The shift is exact because every
+    window slot of every statement template is relative to m.
     """
     presets.check_rank(n)
     if lemma not in presets.LEMMA_IDS:
@@ -451,33 +444,23 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
         ambient = fams[fam_label]
         cases = []
         for params, r in ambient.cases:
-            ptxt = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
+            ptxt = presets.params_text(params)
             for twisted in (False, True):
                 mapped = presets.lemma_case_map(lemma, params, twisted)
-                aux_note = None
-                stated_t = None
+                stated0 = Word()
                 if mapped is not None:
                     idx, aux = mapped
-                    stated_t = table[idx].template.bind(**aux)
-                    if table[idx].note:
-                        aux_note = "%s: %s" % (table[idx].label, table[idx].note)
+                    fam = table[idx]
+                    stated0 = fam.template.bind(**aux).instantiate(m=0)
+                    note = "%s: %s" % (fam.label, fam.note)
+                    if fam.note and note not in notes:
+                        notes.append(note)
                 base = derive_relation(r, 0, twisted)
                 for m in range(m_range[0], m_range[1] + 1):
-                    engine = base.shift(m)
-                    stated = Word() if stated_t is None else stated_t.instantiate(m=m)
+                    engine, stated = base.shift(m), stated0.shift(m)
                     tier, verdict = compare_words(engine, stated, group)
-                    engine_text = print_word(engine)
-                    cases.append(
-                        {
-                            "params": "%s,m=%d,twist=%d" % (ptxt, m, int(twisted)),
-                            "engine_word": engine_text,
-                            "paper_word": engine_text if tier == "a" else print_word(stated),
-                            "tier": tier,
-                            "verdict": verdict,
-                        }
-                    )
-                if aux_note and aux_note not in notes:
-                    notes.append(aux_note)
+                    params_m = "%s,m=%d,twist=%d" % (ptxt, m, int(twisted))
+                    cases.append(_case(params_m, engine, stated, tier, verdict))
     return {
         "lemma": lemma,
         "group": group,
@@ -530,14 +513,9 @@ def assemble(group: str, n: int) -> presets.Presentation:
                 key = template_canon_key(t)
                 if key in seen:
                     continue
-                ptxt = ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
-                label = "%s[%s]%s" % (af.label, ptxt, "+twist" if twisted else "")
+                label = "%s[%s]%s" % (af.label, presets.params_text(params), "+twist" if twisted else "")
                 seen[key] = presets.FamilyInstance(label, t)
-    gens = [presets.GeneratorFamily("a"), presets.GeneratorFamily("b", (0,)), presets.GeneratorFamily("b", (1,))]
-    gens += [presets.GeneratorFamily("c", (l,), windowed=False) for l in range(3, n)]
-    gens += [presets.GeneratorFamily("f", (0,))]
-    gens += [presets.GeneratorFamily("g", (l,)) for l in range(3, n)]
-    return presets.Presentation(group, n, tuple(gens), tuple(seen.values()))
+    return presets.Presentation(group, n, presets.derived_generators(n), tuple(seen.values()))
 
 
 def compare_catalog(group: str, n: int, window: tuple[int, int]) -> dict:

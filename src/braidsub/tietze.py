@@ -542,9 +542,6 @@ class ScriptResult:
     summary: GeneratorSummary
     diff: Optional[dict]
 
-    def records(self) -> list:
-        return [rec for rec, _ in self.steps]
-
 
 def diff_presentations(p: Presentation, target: Presentation) -> dict:
     mine = {template_canon_key(i.template): i for i in p.relators}

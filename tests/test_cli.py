@@ -4,6 +4,7 @@ Everything runs in process through main(argv); report files land in a
 temporary BRAIDSUB_OUTDIR.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -253,3 +254,24 @@ def test_outputs_are_deterministic(capsys):
         _, out, _ = run(capsys, "tietze", "--script", "wb4_reduce", "--format", "json")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# sha256 of the stdout of the statement checks, the catalog assembly and
+# the ambient presentation; rewrites of those stages must keep them
+STAGE_2_SNAPSHOTS = {
+    "verify --lemma ALL --n 4 --format json": "413b97edff51f69a9125aa447c84f78526bdc5bedcca886b294ad3c1402128fe",
+    "verify --lemma ALL --n 5 --format json": "9a0ea60102a7df0b0098b27d522ed601d52f2456757756edb52a272db3c1625d",
+    "derive --group wb --n 5 --format json": "92dcb9bbcb8bfc2c859c18368af7869b4e13b86e2adc217ace3eb0dc39167b05",
+    "present --group wb --n 5 --format json": "b8b07379c18211dc5dbf3ec609ae27ac4038289a2f3b4b907d70315a3d0d9875",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_2_SNAPSHOTS))
+def test_stage_2_output_snapshot(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == STAGE_2_SNAPSHOTS[command], (
+        "the output of `braidsub %s` changed; a deliberate change must be"
+        " noted in CHANGES.md and its hash updated here" % command
+    )

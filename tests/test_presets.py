@@ -12,6 +12,7 @@ import pytest
 from braidsub.cosets import ORIGIN, phi
 from braidsub.errors import BadRank, EmptyWindow, ParseError
 from braidsub.presets import (
+    CASE_RULES,
     CATALOG_FAMILIES,
     GeneratorFamily,
     L7_FAMILIES,
@@ -270,6 +271,94 @@ def test_lemma_tables_are_consistent():
                 # binding must fully close the template
                 w = table[idx].template.bind(**aux).instantiate(m=0)
                 assert len(w) > 0
+
+
+def _lemma_case_map_oracle(lemma, params, twist):
+    """The case map spelled out lemma by lemma, as the rule table must read."""
+    if lemma == "L3":
+        i, j = params["i"], params["j"]
+        if i == 1:
+            return None
+        if i == 2:
+            return (0, {"j": j}) if not twist else (2, {"j": j})
+        return (1, {"i": i, "j": j}) if not twist else (3, {"i": i, "j": j})
+    if lemma == "L5":
+        i = params["i"]
+        if i == 1:
+            return (0, {}) if not twist else (3, {})
+        if i == 2:
+            return (1, {}) if not twist else (4, {})
+        return (2, {"i": i}) if not twist else (5, {"i": i})
+    if lemma == "L7":
+        i = params["i"]
+        if i == 1:
+            return None
+        if i == 2:
+            return (0, {})
+        return (1, {"i": i})
+    if lemma == "L8":
+        i, j = params["i"], params["j"]
+        if i == 1:
+            return (3, {"j": j})
+        if i == 2:
+            return (0, {"k": j}) if not twist else (1, {"k": j})
+        return (2, {"i": i, "j": j})
+    if lemma == "L8_1":
+        i = params["i"]
+        if i == 1:
+            return (0, {}) if not twist else (3, {})
+        if i == 2:
+            return (1, {}) if not twist else (4, {})
+        return (2, {"i": i})
+    if lemma == "L10":
+        i, j = params["i"], params["j"]
+        if j == 1:
+            return None
+        if j == 2:
+            return (5, {"j": i}) if not twist else (6, {"j": i})
+        if i == 1:
+            return (0, {"i": j}) if not twist else (1, {"i": j})
+        if i == 2:
+            return (2, {"j": j}) if not twist else (3, {"j": j})
+        return (4, {"k": i, "l": j})
+    if lemma == "L12":
+        i = params["i"]
+        if i == 1:
+            return (0, {}) if not twist else (1, {})
+        if i == 2:
+            return (2, {}) if not twist else (3, {})
+        return (4, {"i": i})
+    if lemma == "L5_2":
+        i = params["i"]
+        if i == 1:
+            return (0, {}) if not twist else (3, {})
+        if i == 2:
+            return (1, {}) if not twist else (4, {})
+        return (2, {"i": i}) if not twist else (5, {"i": i})
+    raise AssertionError("no oracle for lemma %r" % lemma)
+
+
+def test_case_rules_match_the_spelled_out_case_map():
+    assert set(CASE_RULES) == set(LEMMA_TABLES)
+    triples = 0
+    for lemma, (fam_label, _table, needs) in LEMMA_TABLES.items():
+        for n in range(3, 13):
+            fams = {af.label: af for af in ambient_families(needs, n)}
+            for params, _w in fams[fam_label].cases:
+                for twist in (False, True):
+                    want = _lemma_case_map_oracle(lemma, params, twist)
+                    assert lemma_case_map(lemma, params, twist) == want, (lemma, params, twist)
+                    triples += 1
+    assert triples == 1890
+    with pytest.raises(ParseError):
+        lemma_case_map("L3_1", {"i": 1}, False)
+
+
+def test_unmatched_case_raises(monkeypatch):
+    # None means "freely trivial", so a case no rule covers must not read as None
+    monkeypatch.setitem(CASE_RULES, "L7", CASE_RULES["L7"][:2])
+    with pytest.raises(ParseError):
+        lemma_case_map("L7", {"i": 3}, False)
 
 
 def test_statement_tables_reference_the_catalog():

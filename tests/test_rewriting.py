@@ -482,6 +482,17 @@ def _verify_cases_per_m(lemma, group, n, m_range):
     return cases
 
 
+def test_statement_window_slots_are_relative_to_m():
+    # verify_lemma instantiates each stated template at m=0 and shifts the
+    # word; that is exact only while no a/b/f/g letter has a constant
+    # window index
+    for lemma, (_, table, _) in LEMMA_TABLES.items():
+        for fam in table:
+            for family, exprs, _ in fam.template.letters:
+                if family in M_FAMILIES:
+                    assert exprs[0][0] == "m", (lemma, fam.label)
+
+
 def test_verify_lemma_matches_per_m_derivation():
     runs = [(lemma, "vb") for lemma, (_, _, needs) in LEMMA_TABLES.items() if needs == "vb"]
     for n in (4, 5):

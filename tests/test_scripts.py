@@ -1,4 +1,5 @@
-"""The scripts under scripts/, run as a user runs them.
+"""The scripts under scripts/ and README's library sketch, run as a user
+runs them.
 
 Each script runs in a fresh interpreter with ``src`` on PYTHONPATH, and
 is held to its exit code and to the lines that carry its verdict.
@@ -12,16 +13,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*argv):
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_catalog_diff_lists_the_rank_4_welded_difference():
@@ -61,3 +66,16 @@ def test_window_profiles_exit_two_on_an_error_row():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert all("error: window [" in l for l in lines)
+
+
+def test_readme_library_sketch_prints_what_it_says():
+    text = (ROOT / "README.md").read_text()
+    sketch = text.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in sketch.splitlines()
+        if line.startswith("print(") and "#" in line
+    ]
+    proc = run_python("-c", sketch)
+    assert proc.returncode == 0, proc.stderr
+    assert expected and proc.stdout.splitlines() == expected
