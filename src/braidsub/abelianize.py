@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 from . import presets
 from .errors import BadRank, EmptyWindow, ShapeMismatch, WindowTooNarrow
 from .presets import FinitePresentation, Presentation
-from .words import TemplateWord, parse_template, print_template
+from .words import TemplateWord, print_template
 
 Matrix = list[list[int]]
 
@@ -459,7 +459,7 @@ def step_invariants(
     doms_b, doms_a = _domains(before, window), _domains(after, window)
     if record["op"] == "eliminate":
         key = (record["family"], tuple(record["fixed"]))
-        _, lo, hi = _span(parse_template(record["replacement"]), doms_a)
+        _, lo, hi = _span(record["replacement"], doms_a)
         doms_b[key] = (max(doms_b[key][0], lo), min(doms_b[key][1], hi))
     rows_b, rows_a = _rows(before, doms_b), _rows(after, doms_a)
     labels_a = {inst.label for inst in after.relators}

@@ -16,15 +16,21 @@ Every operation here is a Tietze move on a parametric presentation:
 * ``drop_relator`` removes a relator that is freely trivial or a
   cyclic-canonical duplicate of another one that stays.
 
-Scripts chain these steps and keep a transcript with one presentation
-snapshot per step, which the window-truncation check consumes.
+``SCRIPTS`` is the table of named scripts: each name maps to its group,
+its lowest rank, whether that is its only rank, a function giving the
+list of ``(op, *args)`` steps at rank n, and the stated final
+presentation to compare against (or None).  ``run_script`` checks the
+rank, starts from ``presets.derived_presentation``, applies the steps
+and keeps a transcript with one presentation snapshot per step, which
+the window-truncation check consumes.  The step lists are built when a
+script runs, so they call whatever the module names are bound to then.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import presets
 from .errors import BadRank, NotSolvable, ScriptPreconditionFailed
@@ -44,28 +50,39 @@ def _relator(p: Presentation, label: str) -> FamilyInstance:
     raise ScriptPreconditionFailed("no relator family labelled %r" % label)
 
 
-def _with_template(p: Presentation, label: str, t: TemplateWord) -> Presentation:
+def _row(p: Presentation, label: str, t: TemplateWord, text: str):
+    """Replace the template of one relator; the step record of a rewrite."""
     rels = tuple(
-        FamilyInstance(inst.label, t) if inst.label == label else inst
-        for inst in p.relators
+        FamilyInstance(label, t) if inst.label == label else inst for inst in p.relators
     )
-    return dataclasses.replace(p, relators=rels)
+    return dataclasses.replace(p, relators=rels), {"op": "row", "label": label, "text": text}
 
 
-def _without(p: Presentation, label: str) -> Presentation:
-    rels = tuple(inst for inst in p.relators if inst.label != label)
-    return dataclasses.replace(p, relators=rels)
-
-
-def _witness(p: Presentation, t: TemplateWord) -> str:
-    """Find a present relator family equal to t up to the canonical form."""
+def _witness(p: Presentation, t: TemplateWord, skip: Optional[str] = None):
+    """The first relator other than ``skip`` equal to t up to the canonical form."""
     key = template_canon_key(t)
     for inst in p.relators:
-        if template_canon_key(inst.template) == key:
-            return inst.label
-    raise ScriptPreconditionFailed(
-        "presentation has no relator family matching %s" % print_template(t)
-    )
+        if inst.label != skip and template_canon_key(inst.template) == key:
+            return inst
+    return None
+
+
+def _licence(p: Presentation, t: TemplateWord) -> str:
+    """The label of the present relator family that licenses a rewrite by t."""
+    inst = _witness(p, t)
+    if inst is None:
+        raise ScriptPreconditionFailed(
+            "presentation has no relator family matching %s" % print_template(t)
+        )
+    return inst.label
+
+
+def _block(p: Presentation, family: str, fixed: tuple) -> int:
+    """The index of the generator block (family, fixed)."""
+    for idx, gen in enumerate(p.generators):
+        if gen.family == family and gen.fixed == fixed:
+            return idx
+    raise ScriptPreconditionFailed("no generator family %s%s" % (family, fixed))
 
 
 def _target_letters(t: TemplateWord, family: str, fixed: tuple) -> list[int]:
@@ -139,40 +156,26 @@ def solve_for(t: TemplateWord, family: str, fixed: tuple = ()) -> TemplateWord:
 def eliminate_family(p: Presentation, family: str, fixed: tuple, via: str):
     """Remove a generator family, rewriting it through a defining relator."""
     inst = _relator(p, via)
-    replacement, off = _solved_form(inst.template, family, fixed)
+    replacement, _ = _solved_form(inst.template, family, fixed)
     if _target_letters(replacement, family, fixed):
         raise NotSolvable("solved form still mentions %s%s" % (family, fixed))
     rels = []
-    vanished = []
     for other in p.relators:
-        if other.label == via:
-            continue
-        t = other.template.substitute_family(family, fixed, replacement)
-        if t:
-            rels.append(FamilyInstance(other.label, t))
-        else:
-            vanished.append(other.label)
-    gens = tuple(
-        gen for gen in p.generators if not (gen.family == family and gen.fixed == fixed)
+        if other.label != via:
+            t = other.template.substitute_family(family, fixed, replacement)
+            if t:
+                rels.append(FamilyInstance(other.label, t))
+    k = _block(p, family, fixed)
+    p2 = dataclasses.replace(
+        p, generators=p.generators[:k] + p.generators[k + 1 :], relators=tuple(rels)
     )
-    if len(gens) == len(p.generators):
-        raise ScriptPreconditionFailed("no generator family %s%s" % (family, fixed))
-    p2 = dataclasses.replace(p, generators=gens, relators=tuple(rels))
     record = {
         "op": "eliminate",
         "family": family,
         "fixed": list(fixed),
-        "via": via,
-        "target_offset": off,
-        "replacement": print_template(replacement),
-        "vanished": vanished,
+        "replacement": replacement,
         "text": "eliminate %s(m%s) via %s: %s"
-        % (
-            family,
-            "".join(",%d" % v for v in fixed),
-            via,
-            print_template(replacement),
-        ),
+        % (family, "".join(",%d" % v for v in fixed), via, print_template(replacement)),
     }
     return p2, record
 
@@ -196,19 +199,22 @@ def reduce_family_to_seeds(p: Presentation, family: str, fixed: tuple, via: str)
     top window offset) and downward (unique letter at the bottom offset),
     and may only mention families that are concrete or already seeded.
     """
-    inst = _relator(p, via)
-    span = _seed_span(inst.template, family, fixed)
-    for fam, exprs, _ in inst.template.letters:
-        if fam == family and tuple(exprs[1:]) == tuple((None, v) for v in fixed):
+    t = _relator(p, via).template
+    span = _seed_span(t, family, fixed)
+    targets = set(_target_letters(t, family, fixed))
+    for idx, (fam, exprs, _) in enumerate(t.letters):
+        if idx in targets:
             continue
-        gen = None
-        for cand in p.generators:
-            if cand.family == fam and (
-                (cand.windowed and tuple((None, v) for v in cand.fixed) == tuple(exprs[1:]))
-                or (not cand.windowed and tuple((None, v) for v in cand.fixed) == tuple(exprs))
-            ):
-                gen = cand
-                break
+        gen = next(
+            (
+                cand
+                for cand in p.generators
+                if cand.family == fam
+                and tuple((None, v) for v in cand.fixed)
+                == tuple(exprs[1:] if cand.windowed else exprs)
+            ),
+            None,
+        )
         if gen is None:
             raise ScriptPreconditionFailed("recurrence mentions an unknown family %s" % fam)
         if gen.windowed and gen.basis is None:
@@ -216,29 +222,18 @@ def reduce_family_to_seeds(p: Presentation, family: str, fixed: tuple, via: str)
                 "recurrence for %s%s rests on the unreduced family %s" % (family, fixed, gen.name())
             )
     seeds = tuple(range(span))
-    gens = []
-    found = False
-    for gen in p.generators:
-        if gen.family == family and gen.fixed == fixed:
-            if not gen.windowed:
-                raise ScriptPreconditionFailed("family %s%s is not windowed" % (family, fixed))
-            gens.append(dataclasses.replace(gen, basis=seeds))
-            found = True
-        else:
-            gens.append(gen)
-    if not found:
-        raise ScriptPreconditionFailed("no generator family %s%s" % (family, fixed))
-    p2 = dataclasses.replace(p, generators=tuple(gens))
+    k = _block(p, family, fixed)
+    gen = p.generators[k]
+    if not gen.windowed:
+        raise ScriptPreconditionFailed("family %s%s is not windowed" % (family, fixed))
+    gens = p.generators[:k] + (dataclasses.replace(gen, basis=seeds),) + p.generators[k + 1 :]
     record = {
         "op": "seeds",
-        "family": family,
-        "fixed": list(fixed),
-        "via": via,
         "seeds": list(seeds),
         "text": "family %s%s is generated by seeds m in %s (via %s)"
         % (family, fixed, list(seeds), via),
     }
-    return p2, record
+    return dataclasses.replace(p, generators=gens), record
 
 
 def observe_unbounded(p: Presentation, family: str, fixed: tuple, via: str):
@@ -247,14 +242,7 @@ def observe_unbounded(p: Presentation, family: str, fixed: tuple, via: str):
     try:
         _seed_span(inst.template, family, fixed)
     except NotSolvable as exc:
-        record = {
-            "op": "observe",
-            "family": family,
-            "fixed": list(fixed),
-            "via": via,
-            "text": "family %s%s stays unbounded: %s" % (family, fixed, exc),
-        }
-        return p, record
+        return p, {"op": "observe", "text": "family %s%s stays unbounded: %s" % (family, fixed, exc)}
     raise ScriptPreconditionFailed(
         "family %s%s is unexpectedly reducible through %s" % (family, fixed, via)
     )
@@ -272,31 +260,25 @@ def drop_relator(p: Presentation, label: str, reason: str):
             raise ScriptPreconditionFailed("%s is not freely trivial" % label)
         kept = None
     elif reason == "duplicate":
-        key = template_canon_key(inst.template)
-        kept = None
-        for other in p.relators:
-            if other.label != label and template_canon_key(other.template) == key:
-                kept = other.label
-                break
-        if kept is None:
+        other = _witness(p, inst.template, skip=label)
+        if other is None:
             raise ScriptPreconditionFailed("%s duplicates no other family" % label)
+        kept = other.label
     else:
         raise ScriptPreconditionFailed("unknown drop reason %r" % reason)
     record = {
         "op": "drop",
         "label": label,
-        "reason": reason,
         "kept": kept,
         "text": "drop %s (%s%s)" % (label, reason, " of %s" % kept if kept else ""),
     }
-    return _without(p, label), record
+    rels = tuple(other for other in p.relators if other.label != label)
+    return dataclasses.replace(p, relators=rels), record
 
 
 def rotate_relator(p: Presentation, label: str, k: int):
-    inst = _relator(p, label)
-    p2 = _with_template(p, label, inst.template.rotate(k))
-    record = {"op": "row", "label": label, "text": "rotate %s by %d" % (label, k)}
-    return p2, record
+    t = _relator(p, label).template.rotate(k)
+    return _row(p, label, t, "rotate %s by %d" % (label, k))
 
 
 def _insert(t: TemplateWord, idx: int, piece: TemplateWord) -> TemplateWord:
@@ -305,13 +287,8 @@ def _insert(t: TemplateWord, idx: int, piece: TemplateWord) -> TemplateWord:
 
 def flip_g_letter(p: Presentation, label: str, occurrence: int = 0):
     """Turn one inverse involution letter positive by inserting its square."""
-    inst = _relator(p, label)
-    t = inst.template
-    spots = [
-        i
-        for i, (fam, _, exp) in enumerate(t.letters)
-        if fam == "g" and exp == -1
-    ]
+    t = _relator(p, label).template
+    spots = [i for i, (fam, _, exp) in enumerate(t.letters) if fam == "g" and exp == -1]
     if occurrence >= len(spots):
         raise ScriptPreconditionFailed("%s has no inverse g letter #%d" % (label, occurrence))
     idx = spots[occurrence]
@@ -319,25 +296,20 @@ def flip_g_letter(p: Presentation, label: str, occurrence: int = 0):
     strand = exprs[1][1]
     off = _offset(t.letters[idx])
     square = _g_square(strand, off)
-    witness = _witness(p, square)
+    witness = _licence(p, square)
     new = _insert(t, idx, square)
     expected = TemplateWord(
         t.letters[:idx] + ((t.letters[idx][0], t.letters[idx][1], 1),) + t.letters[idx + 1 :]
     )
     if new != expected:
         raise ScriptPreconditionFailed("involution flip did not reduce as expected")
-    record = {
-        "op": "row",
-        "label": label,
-        "text": "flip an inverse g(m%+d,%d) in %s using %s" % (off, strand, label, witness),
-    }
-    return _with_template(p, label, new), record
+    text = "flip an inverse g(m%+d,%d) in %s using %s" % (off, strand, label, witness)
+    return _row(p, label, new, text)
 
 
 def braid_flip(p: Presentation, label: str):
     """Rewrite the first g f^e g subword (strand 3) into f^-e g f^-e."""
-    inst = _relator(p, label)
-    t = inst.template
+    t = _relator(p, label).template
     found = None
     for i in range(len(t.letters) - 2):
         l0, l1, l2 = t.letters[i], t.letters[i + 1], t.letters[i + 2]
@@ -359,9 +331,9 @@ def braid_flip(p: Presentation, label: str):
     off = _offset(t.letters[i])
     e = t.letters[i + 1][2]
     braid = _fg_braid(off)
-    braid_witness = _witness(p, braid)
+    braid_witness = _licence(p, braid)
     square = _g_square(3, off)
-    square_witness = _witness(p, square)
+    square_witness = _licence(p, square)
     g_letter = t.letters[i]
     f_letter = t.letters[i + 1]
     expected = TemplateWord(
@@ -369,31 +341,23 @@ def braid_flip(p: Presentation, label: str):
         + ((f_letter[0], f_letter[1], -e), g_letter, (f_letter[0], f_letter[1], -e))
         + t.letters[i + 3 :]
     )
+
+    def g_spots(w: TemplateWord, exp: int) -> list[int]:
+        return [j for j, letter in enumerate(w.letters) if letter == ("g", g_letter[1], exp)]
+
     if e == 1:
         step = _insert(t, i + 3, braid.inverse())
-        neg = [
-            j
-            for j, (fam, exprs, exp) in enumerate(step.letters)
-            if fam == "g" and exprs == g_letter[1] and exp == -1
-        ]
+        neg = g_spots(step, -1)
         if len(neg) != 1:
             raise ScriptPreconditionFailed("braid flip lost track of the g letter")
         step = _insert(step, neg[0], square)
     else:
         step = _insert(t, i, square.inverse())
-        pos = [
-            j
-            for j, (fam, exprs, exp) in enumerate(step.letters)
-            if fam == "g" and exprs == g_letter[1] and exp == 1
-        ]
+        pos = g_spots(step, 1)
         if len(pos) != 1:
             raise ScriptPreconditionFailed("braid flip lost track of the g letter")
         step = _insert(step, pos[0] + 1, square.inverse())
-        neg = [
-            j
-            for j, (fam, exprs, exp) in enumerate(step.letters)
-            if fam == "g" and exprs == g_letter[1] and exp == -1
-        ]
+        neg = g_spots(step, -1)
         if not neg:
             raise ScriptPreconditionFailed("braid flip lost track of the g letter")
         step = _insert(step, neg[0], braid)
@@ -402,13 +366,9 @@ def braid_flip(p: Presentation, label: str):
             "braid flip produced %s, expected %s"
             % (print_template(step), print_template(expected))
         )
-    record = {
-        "op": "row",
-        "label": label,
-        "text": "braid flip at offset m%+d in %s using %s and %s"
-        % (off, label, braid_witness, square_witness),
-    }
-    return _with_template(p, label, step), record
+    text = "braid flip at offset m%+d in %s using %s and %s" % (
+        off, label, braid_witness, square_witness)
+    return _row(p, label, step, text)
 
 
 def rewrite_letter(
@@ -426,64 +386,44 @@ def rewrite_letter(
     letter at the given window offset exactly once; the target relator
     must contain it exactly once as well.
     """
-    inst = _relator(p, label)
-    via_inst = _relator(p, via)
-    vt = via_inst.template.shift(via_shift)
-    hits = [
-        i
-        for i in _target_letters(vt, family, fixed)
-        if _offset(vt.letters[i]) == offset
-    ]
+    def at_offset(w: TemplateWord) -> list[int]:
+        return [i for i in _target_letters(w, family, fixed) if _offset(w.letters[i]) == offset]
+
+    t = _relator(p, label).template
+    vt = _relator(p, via).template.shift(via_shift)
+    hits = at_offset(vt)
     if len(hits) != 1:
         raise NotSolvable(
             "%s shifted by %d mentions %s%s at offset %d %d times"
             % (via, via_shift, family, fixed, offset, len(hits))
         )
     solved = _solve_at(vt, hits[0])
-    spots = [
-        i
-        for i in _target_letters(inst.template, family, fixed)
-        if _offset(inst.template.letters[i]) == offset
-    ]
+    spots = at_offset(t)
     if len(spots) != 1:
         raise ScriptPreconditionFailed(
             "%s mentions %s%s at offset %d %d times" % (label, family, fixed, offset, len(spots))
         )
     i = spots[0]
-    target_exp = inst.template.letters[i][2]
-    piece = solved if target_exp == 1 else solved.inverse()
-    new = TemplateWord(
-        inst.template.letters[:i] + piece.letters + inst.template.letters[i + 1 :]
-    )
-    record = {
-        "op": "row",
-        "label": label,
-        "text": "rewrite %s(m%+d%s) in %s through %s shifted by %+d"
-        % (family, offset, "".join(",%d" % v for v in fixed), label, via, via_shift),
-    }
-    return _with_template(p, label, new), record
+    piece = solved if t.letters[i][2] == 1 else solved.inverse()
+    new = TemplateWord(t.letters[:i] + piece.letters + t.letters[i + 1 :])
+    text = "rewrite %s(m%+d%s) in %s through %s shifted by %+d" % (
+        family, offset, "".join(",%d" % v for v in fixed), label, via, via_shift)
+    return _row(p, label, new, text)
 
 
 def torsion_reduce_relator(p: Presentation, label: str):
     """Merge torsion syllables (f mod three, g mod two) in one relator."""
-    inst = _relator(p, label)
-    new = TemplateWord(torsion_merge(inst.template.letters))
-    if new == inst.template:
-        record = {"op": "row", "label": label, "text": "torsion merge on %s: no change" % label}
-        return p, record
-    old_fams = {(fam, exprs) for fam, exprs, _ in inst.template.letters}
+    t = _relator(p, label).template
+    new = TemplateWord(torsion_merge(t.letters))
+    if new == t:
+        return _row(p, label, t, "torsion merge on %s: no change" % label)
+    old_fams = {(fam, exprs) for fam, exprs, _ in t.letters}
     if any(fam == "f" for fam, _ in old_fams):
-        _witness(p, _F_CUBE)
+        _licence(p, _F_CUBE)
     for fam, exprs in old_fams:
         if fam == "g":
-            strand = exprs[1][1]
-            _witness(p, _g_square(strand, 0))
-    record = {
-        "op": "row",
-        "label": label,
-        "text": "torsion merge on %s: %s" % (label, print_template(new)),
-    }
-    return _with_template(p, label, new), record
+            _licence(p, _g_square(exprs[1][1], 0))
+    return _row(p, label, new, "torsion merge on %s: %s" % (label, print_template(new)))
 
 
 def torsion_cleanup(p: Presentation):
@@ -493,10 +433,9 @@ def torsion_cleanup(p: Presentation):
     squares) are left untouched: they license the merges and stay in the
     final presentation.
     """
-    witness_keys = {template_canon_key(_F_CUBE)}
-    for gen in p.generators:
-        if gen.family == "g":
-            witness_keys.add(template_canon_key(_g_square(gen.fixed[0], 0)))
+    witness_keys = {template_canon_key(_F_CUBE)} | {
+        template_canon_key(_g_square(gen.fixed[0], 0)) for gen in p.generators if gen.family == "g"
+    }
     records = []
     for inst in list(p.relators):
         if template_canon_key(inst.template) in witness_keys:
@@ -557,113 +496,88 @@ def diff_presentations(p: Presentation, target: Presentation) -> dict:
     return {"extra": extra, "missing": missing, "agree": not extra and not missing}
 
 
-class _Runner:
-    def __init__(self, p: Presentation):
-        self.p = p
-        self.steps: list = []
-
-    def do(self, op: Callable, *args, **kwargs) -> None:
-        self.p, record = op(self.p, *args, **kwargs)
-        self.steps.append((record, self.p))
+def _b_steps() -> list:
+    """Every script starts by eliminating b(m,1) and b(m,0)."""
+    return [
+        (eliminate_family, "b", (1,), "f-a-step-b1"),
+        (eliminate_family, "b", (0,), "f-step-b0"),
+    ]
 
 
-def _script_vb3(n: int) -> ScriptResult:
-    if n != 3:
-        raise BadRank("this script is specific to rank 3, got %d" % n)
-    p0 = presets.derived_presentation("vb", 3)
-    r = _Runner(p0)
-    r.do(eliminate_family, "b", (1,), "f-a-step-b1")
-    r.do(eliminate_family, "b", (0,), "f-step-b0")
-    r.do(reduce_family_to_seeds, "f", (0,), "b0-recurrence")
-    r.do(observe_unbounded, "a", (), "b1-recurrence")
-    diff = diff_presentations(r.p, presets.vb3_final_presentation())
-    return ScriptResult("VB3_REDUCE", "vb", 3, p0, r.steps, r.p, generator_count(r.p), diff)
+def _vb3_steps(n: int) -> list:
+    return [
+        *_b_steps(),
+        (reduce_family_to_seeds, "f", (0,), "b0-recurrence"),
+        (observe_unbounded, "a", (), "b1-recurrence"),
+    ]
 
 
-def _script_vbn(n: int) -> ScriptResult:
-    if n < 4:
-        raise BadRank("this script needs rank >= 4, got %d" % n)
-    p0 = presets.derived_presentation("vb", n)
-    r = _Runner(p0)
-    r.do(eliminate_family, "b", (1,), "f-a-step-b1")
-    r.do(eliminate_family, "b", (0,), "f-step-b0")
-    r.do(eliminate_family, "a", (), "g-a-g[i=3]")
-    r.do(reduce_family_to_seeds, "f", (0,), "b0-recurrence")
-    r.do(reduce_family_to_seeds, "g", (3,), "f-g3-c3-braid-0")
-    for l in range(4, n):
-        r.do(reduce_family_to_seeds, "g", (l,), "g-g-c-braid[i=%d]" % (l - 1))
-    return ScriptResult("VBN_REDUCE", "vb", n, p0, r.steps, r.p, generator_count(r.p), None)
+def _vbn_steps(n: int) -> list:
+    return [
+        *_b_steps(),
+        (eliminate_family, "a", (), "g-a-g[i=3]"),
+        (reduce_family_to_seeds, "f", (0,), "b0-recurrence"),
+        (reduce_family_to_seeds, "g", (3,), "f-g3-c3-braid-0"),
+        *((reduce_family_to_seeds, "g", (l,), "g-g-c-braid[i=%d]" % (l - 1)) for l in range(4, n)),
+    ]
 
 
-def _script_wb3(n: int) -> ScriptResult:
-    if n != 3:
-        raise BadRank("this script is specific to rank 3, got %d" % n)
-    p0 = presets.derived_presentation("wb", 3)
-    r = _Runner(p0)
-    r.do(eliminate_family, "b", (1,), "f-a-step-b1")
-    r.do(eliminate_family, "b", (0,), "f-step-b0")
-    r.do(drop_relator, "welded-a-f-inverse", "duplicate")
-    r.do(rotate_relator, "welded-a-f", 1)
-    r.do(torsion_reduce_relator, "welded-a-f")
-    r.do(reduce_family_to_seeds, "f", (0,), "b0-recurrence")
-    r.do(reduce_family_to_seeds, "a", (), "welded-a-f")
-    diff = diff_presentations(r.p, presets.wb3_final_presentation())
-    return ScriptResult("WB3_REDUCE", "wb", 3, p0, r.steps, r.p, generator_count(r.p), diff)
+def _wb3_steps(n: int) -> list:
+    return [
+        *_b_steps(),
+        (drop_relator, "welded-a-f-inverse", "duplicate"),
+        (rotate_relator, "welded-a-f", 1),
+        (torsion_reduce_relator, "welded-a-f"),
+        (reduce_family_to_seeds, "f", (0,), "b0-recurrence"),
+        (reduce_family_to_seeds, "a", (), "welded-a-f"),
+    ]
 
 
-def _wb_common(r: _Runner) -> None:
-    r.do(eliminate_family, "b", (1,), "f-a-step-b1")
-    r.do(eliminate_family, "b", (0,), "f-step-b0")
-    r.do(drop_relator, "welded-a-f-inverse", "duplicate")
-    r.do(drop_relator, "welded-c3-braid-1", "duplicate")
-    r.do(eliminate_family, "a", (), "g-a-g[i=3]")
-    r.do(braid_flip, "welded-c3-braid-0")
-    r.do(rewrite_letter, "welded-c3-braid-0", "g", (3,), 2, "f-g3-c3-braid-0", 1)
-    r.do(flip_g_letter, "welded-c3-braid-0", 0)
-    r.do(braid_flip, "welded-c3-braid-0")
-    r.do(torsion_reduce_relator, "welded-c3-braid-0")
-    r.do(eliminate_family, "g", (3,), "welded-c3-braid-0")
+def _welded_steps(n: int) -> list:
+    """WB4_REDUCE and WBN_REDUCE: the welded-c-shift loop is empty at n=4."""
+    return [
+        *_b_steps(),
+        (drop_relator, "welded-a-f-inverse", "duplicate"),
+        (drop_relator, "welded-c3-braid-1", "duplicate"),
+        (eliminate_family, "a", (), "g-a-g[i=3]"),
+        (braid_flip, "welded-c3-braid-0"),
+        (rewrite_letter, "welded-c3-braid-0", "g", (3,), 2, "f-g3-c3-braid-0", 1),
+        (flip_g_letter, "welded-c3-braid-0", 0),
+        (braid_flip, "welded-c3-braid-0"),
+        (torsion_reduce_relator, "welded-c3-braid-0"),
+        (eliminate_family, "g", (3,), "welded-c3-braid-0"),
+        *((eliminate_family, "g", (l,), "welded-c-shift[i=%d]" % (l - 1)) for l in range(4, n)),
+        (torsion_cleanup,),
+        (reduce_family_to_seeds, "f", (0,), "b0-recurrence"),
+    ]
 
 
-def _script_wb4(n: int) -> ScriptResult:
-    if n != 4:
-        raise BadRank("this script is specific to rank 4, got %d" % n)
-    p0 = presets.derived_presentation("wb", 4)
-    r = _Runner(p0)
-    _wb_common(r)
-    r.do(torsion_cleanup)
-    r.do(reduce_family_to_seeds, "f", (0,), "b0-recurrence")
-    diff = diff_presentations(r.p, presets.wb4_final_presentation())
-    return ScriptResult("WB4_REDUCE", "wb", 4, p0, r.steps, r.p, generator_count(r.p), diff)
-
-
-def _script_wbn(n: int) -> ScriptResult:
-    if n < 5:
-        raise BadRank("this script needs rank >= 5, got %d" % n)
-    p0 = presets.derived_presentation("wb", n)
-    r = _Runner(p0)
-    _wb_common(r)
-    for l in range(4, n):
-        r.do(eliminate_family, "g", (l,), "welded-c-shift[i=%d]" % (l - 1))
-    r.do(torsion_cleanup)
-    r.do(reduce_family_to_seeds, "f", (0,), "b0-recurrence")
-    return ScriptResult("WBN_REDUCE", "wb", n, p0, r.steps, r.p, generator_count(r.p), None)
-
-
+# name -> (group, lowest rank, only that rank, steps(n), stated final or None)
 SCRIPTS = {
-    "VB3_REDUCE": (_script_vb3, 3),
-    "VBN_REDUCE": (_script_vbn, 4),
-    "WB3_REDUCE": (_script_wb3, 3),
-    "WB4_REDUCE": (_script_wb4, 4),
-    "WBN_REDUCE": (_script_wbn, 5),
+    "VB3_REDUCE": ("vb", 3, True, _vb3_steps, presets.vb3_final_presentation),
+    "VBN_REDUCE": ("vb", 4, False, _vbn_steps, None),
+    "WB3_REDUCE": ("wb", 3, True, _wb3_steps, presets.wb3_final_presentation),
+    "WB4_REDUCE": ("wb", 4, True, _welded_steps, presets.wb4_final_presentation),
+    "WBN_REDUCE": ("wb", 5, False, _welded_steps, None),
 }
 
 
 def run_script(name: str, n: Optional[int] = None) -> ScriptResult:
     if name not in SCRIPTS:
         raise ScriptPreconditionFailed("unknown script %r" % name)
-    fn, default_n = SCRIPTS[name]
-    return fn(default_n if n is None else n)
+    group, low, only, steps, stated = SCRIPTS[name]
+    n = low if n is None else n
+    if only and n != low:
+        raise BadRank("this script is specific to rank %d, got %d" % (low, n))
+    if n < low:
+        raise BadRank("this script needs rank >= %d, got %d" % (low, n))
+    p = initial = presets.derived_presentation(group, n)
+    transcript = []
+    for op, *args in steps(n):
+        p, record = op(p, *args)
+        transcript.append((record, p))
+    diff = diff_presentations(p, stated()) if stated else None
+    return ScriptResult(name, group, n, initial, transcript, p, generator_count(p), diff)
 
 
 # Operation name used by callers that think of the move as acting on one

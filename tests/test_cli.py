@@ -265,13 +265,31 @@ STAGE_2_SNAPSHOTS = {
     "present --group wb --n 5 --format json": "b8b07379c18211dc5dbf3ec609ae27ac4038289a2f3b4b907d70315a3d0d9875",
 }
 
+# sha256 of the stdout of the Tietze scripts: every fixed-rank script,
+# one text transcript, and the loop scripts at a rank well past their lowest
+STAGE_3_SNAPSHOTS = {
+    "tietze --script VB3_REDUCE --format json": "1b032283dec5b9a37618802b8c6e5ef945456eb4b252f94916fe821dca609938",
+    "tietze --script WB3_REDUCE --format json": "b82cff29c20633eb737a9724b1c033011dc4ab5248485645a74e80c18d70a5df",
+    "tietze --script WB4_REDUCE --format json": "8c39276a49cd14bd86ab93b4a1765250416532e70bcc68d12266331bc05f91a8",
+    "tietze --script WB4_REDUCE": "0839f5ce5c21bd5a33bf41e4c717fa344fa1583e315c3cb8c7164b88e2e4d25d",
+    "tietze --script VBN_REDUCE --n 10 --format json": "3e5387ed64fbb14ea86c86504f519b000d86df4c59e6c8cbb3e89251dfa2208c",
+    "tietze --script WBN_REDUCE --n 8 --format json": "bc73c9ac091933ab0412f8a29709bd4cb804f4a823946d759754712ef5ed3b77",
+}
 
-@pytest.mark.parametrize("command", sorted(STAGE_2_SNAPSHOTS))
-def test_stage_2_output_snapshot(capsys, command):
-    code, out, _ = run(capsys, *command.split())
-    assert code == 0
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == STAGE_2_SNAPSHOTS[command], (
-        "the output of `braidsub %s` changed; a deliberate change must be"
-        " noted in CHANGES.md and its hash updated here" % command
-    )
+
+def _output_snapshot_test(snapshots):
+    @pytest.mark.parametrize("command", sorted(snapshots))
+    def test(capsys, command):
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == snapshots[command], (
+            "the output of `braidsub %s` changed; a deliberate change must be"
+            " noted in CHANGES.md and its hash updated here" % command
+        )
+
+    return test
+
+
+test_stage_2_output_snapshot = _output_snapshot_test(STAGE_2_SNAPSHOTS)
+test_stage_3_output_snapshot = _output_snapshot_test(STAGE_3_SNAPSHOTS)

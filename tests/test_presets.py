@@ -41,7 +41,7 @@ from braidsub.presets import (
     wb3_final_presentation,
     wb4_final_presentation,
 )
-from braidsub.tietze import eliminate_family, solve_for
+from braidsub.tietze import SCRIPTS, eliminate_family, run_script, solve_for
 from braidsub.words import print_template
 
 
@@ -239,8 +239,9 @@ def test_final_presentations_frozen():
 
 
 def test_presentation_text_round_trip():
-    for p in (
-        derived_presentation("wb", 5),
+    # every preset and every snapshot of every script: at their rank, and
+    # at the lowest rank and the two above it for the loop scripts
+    presentations = [
         wb3_final_presentation(),
         wb4_final_presentation(),
         Presentation(
@@ -250,7 +251,16 @@ def test_presentation_text_round_trip():
             (),
             notes=("kept for the record",),
         ),
-    ):
+    ]
+    for group in ("vb", "wb"):
+        for n in range(3, 9):
+            presentations += [derived_presentation(group, n), reduced_presentation(group, n)]
+    for name, (_, low, only, _, _) in SCRIPTS.items():
+        for n in (low,) if only else (low, low + 1, low + 2):
+            res = run_script(name, n)
+            presentations += [res.initial] + [snap for _, snap in res.steps]
+    assert len(presentations) == 3 + 24 + 96
+    for p in presentations:
         text = print_presentation(p)
         assert parse_presentation(text) == p
         assert print_presentation(parse_presentation(text)) == text

@@ -9,6 +9,7 @@ presentations and generator counts.
 
 import pytest
 
+from braidsub import tietze
 from braidsub.errors import BadRank, NotSolvable, ScriptPreconditionFailed
 from braidsub.presets import (
     FamilyInstance,
@@ -79,7 +80,7 @@ def test_eliminate_family_basics():
     p = derived_presentation("vb", 3)
     p1, rec = eliminate_family(p, "b", (1,), "f-a-step-b1")
     assert rec["op"] == "eliminate"
-    assert rec["replacement"] == "f(m,0) a(m) f(m+1,0)^-1"
+    assert print_template(rec["replacement"]) == "f(m,0) a(m) f(m+1,0)^-1"
     assert all(not (g.family == "b" and g.fixed == (1,)) for g in p1.generators)
     for inst in p1.relators:
         for fam, exprs, _ in inst.template.letters:
@@ -334,6 +335,73 @@ def test_script_wbn_counts():
         assert res.summary.count == n
     res = run_script("WBN_REDUCE", 5)
     assert res.summary.names == ("c(3)", "c(4)", "f(0,0)", "f(1,0)", "f(2,0)")
+
+
+def _texts(name, n):
+    return [rec["text"] for rec, _ in run_script(name, n).steps]
+
+
+def test_vbn_rank_ladder_appends_one_seeds_step():
+    # the transcript at rank n+1 is the rank-n one plus the seeds step for
+    # the new g family, through the braid relation one strand down
+    prev = _texts("VBN_REDUCE", 4)
+    for n in range(4, 10):
+        texts = _texts("VBN_REDUCE", n + 1)
+        assert texts[:-1] == prev
+        assert texts[-1] == (
+            "family g(%d,) is generated by seeds m in [0] (via g-g-c-braid[i=%d])" % (n, n - 1)
+        )
+        prev = texts
+
+
+def test_wbn_rank_ladder_inserts_one_elimination():
+    # the transcript at rank n+1 is the rank-n one plus the elimination of
+    # the new g family before the cleanup, which drops one more family
+    prev = _texts("WBN_REDUCE", 5)
+    assert prev[-2] == "torsion cleanup: 1 families dropped"
+    for n in range(5, 10):
+        texts = _texts("WBN_REDUCE", n + 1)
+        assert texts[:-3] == prev[:-2]
+        assert texts[-3].startswith("eliminate g(m,%d) via welded-c-shift[i=%d]: " % (n, n - 1))
+        assert texts[-2] == "torsion cleanup: %d families dropped" % (n + 1 - 4)
+        assert texts[-1] == prev[-1]
+        prev = texts
+
+
+STEP_OPS = (
+    "eliminate_family",
+    "reduce_family_to_seeds",
+    "observe_unbounded",
+    "drop_relator",
+    "rotate_relator",
+    "flip_g_letter",
+    "braid_flip",
+    "rewrite_letter",
+    "torsion_reduce_relator",
+    "torsion_cleanup",
+)
+
+
+def test_scripts_look_up_their_ops_when_they_run(monkeypatch):
+    # a tracer wraps the ops by rebinding the module's names, so a step
+    # list built at import would bypass it and every step would go unseen
+    seen = set()
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            p, rec = fn(*args, **kwargs)
+            seen.add(id(rec))
+            return p, rec
+
+        return wrapper
+
+    for op in STEP_OPS:
+        monkeypatch.setattr(tietze, op, wrap(getattr(tietze, op)))
+    for name, (_, low, only, _, _) in SCRIPTS.items():
+        for n in (low,) if only else (low, low + 1):
+            seen.clear()
+            res = run_script(name, n)
+            assert all(id(rec) in seen for rec, _ in res.steps), (name, n)
 
 
 def test_scripts_are_deterministic():
