@@ -12,7 +12,7 @@ derived relator catalog.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import presets
 from .cosets import (
@@ -25,7 +25,7 @@ from .cosets import (
     schreier_generator,
     step,
 )
-from .errors import NotConverged, NotInKernel, ParseError
+from .errors import EmptyWindow, NotConverged, NotInKernel, ParseError, ShapeMismatch
 from .words import (
     _FAMILY_RANK,
     M_FAMILIES,
@@ -39,6 +39,7 @@ from .words import (
     g,
     lift,
     parse_template,
+    print_template,
     print_word,
     rho,
     sigma,
@@ -371,13 +372,47 @@ def _rho1_involution_normal(w: Word) -> Word:
     return Word(stack)
 
 
-def _case(params: str, engine: Word, paper: Word, tier: str, verdict: str) -> dict:
-    """One verifier row; an exact (tier "a") case prints its word once."""
-    engine_text = print_word(engine)
+def _check_shifts_with_m(label: str, t: TemplateWord) -> None:
+    """Raise ShapeMismatch unless every a/b/f/g letter of t sits at window
+    index m+k and no other slot holds m: only then is t's instance at m
+    the shift of its instance at 0."""
+    for fam, exprs, exp in t.letters:
+        if [var == "m" for var, _ in exprs] != [fam in M_FAMILIES] + [False] * (len(exprs) - 1):
+            raise ShapeMismatch(
+                "relator %s does not shift with the window: letter %s"
+                % (label, print_template(TemplateWord(((fam, exprs, exp),))))
+            )
+
+
+def _word_pattern(w: Word) -> tuple[str, tuple]:
+    """``print_word``'s text of w with ``%d`` in place of each window index,
+    and those indices in letter order; ``_fill`` at m prints ``w.shift(m)``.
+    """
+    if not w.letters:
+        return "1", ()
+    toks, slots = [], []
+    for sym, exp in w.letters:
+        if sym.family in M_FAMILIES:
+            slots.append(sym.indices[0])
+            body = "%s(%%d%s)" % (sym.family, "".join(",%d" % i for i in sym.indices[1:]))
+        else:
+            body = str(sym)
+        toks.append(body if exp == 1 else body + "^-1")
+    return " ".join(toks), tuple(slots)
+
+
+def _fill(pattern: tuple[str, tuple], m: int) -> str:
+    """The text of a ``_word_pattern`` shifted to window position m."""
+    text, slots = pattern
+    return text % tuple([i + m for i in slots])
+
+
+def _case(params: str, engine_text: str, paper_text: str, tier: str, verdict: str) -> dict:
+    """One verifier row, from the printed words."""
     return {
         "params": params,
         "engine_word": engine_text,
-        "paper_word": engine_text if tier == "a" else print_word(paper),
+        "paper_word": paper_text,
         "tier": tier,
         "verdict": verdict,
     }
@@ -401,7 +436,8 @@ def _closed_form_cases(n: int, m_range: tuple[int, int]) -> list[dict]:
             tier, verdict = "b", "equal-after-normalization"
         else:
             tier, verdict = "", "MISMATCH"
-        rows.append(_case(str(sym), engine, stated, tier, verdict))
+        text = print_word(engine)
+        rows.append(_case(str(sym), text, text if tier == "a" else print_word(stated), tier, verdict))
     return rows
 
 
@@ -416,17 +452,22 @@ def _conjugation_cases(n: int) -> list[dict]:
             params = str(sym)
             if bind:
                 params += "[%s]" % presets.params_text(bind)
-            rows.append(_case(params, engine, stated, *compare_words(engine, stated, "vb")))
+            tier, verdict = compare_words(engine, stated, "vb")
+            text = print_word(engine)
+            rows.append(_case(params, text, text if tier == "a" else print_word(stated), tier, verdict))
     return rows
 
 
 def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2, 2)) -> dict:
     """Re-derive one statement table and compare case by case.
 
-    Each (relator, twist) pair is rewritten once, at the base position,
-    and its stated template is instantiated once, at m=0; every window
-    position m then shifts both words.  The shift is exact because every
-    window slot of every statement template is relative to m.
+    Each (relator, twist) pair is rewritten, instantiated, compared and
+    printed once, at m=0; every window position m then fills the two
+    printed patterns.  This is exact because every window slot of every
+    stated template is relative to m (``_check_shifts_with_m``), and a
+    uniform shift of the window index preserves word equality, the letter
+    order of ``canon_key``, the catalog spellings (written for the letter
+    at plain m) and the torsion merge.
     """
     presets.check_rank(n)
     if lemma not in presets.LEMMA_IDS:
@@ -451,16 +492,21 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
                 if mapped is not None:
                     idx, aux = mapped
                     fam = table[idx]
-                    stated0 = fam.template.bind(**aux).instantiate(m=0)
+                    stated = fam.template.bind(**aux)
+                    _check_shifts_with_m(fam.label, stated)
+                    stated0 = stated.instantiate(m=0)
                     note = "%s: %s" % (fam.label, fam.note)
                     if fam.note and note not in notes:
                         notes.append(note)
                 base = derive_relation(r, 0, twisted)
+                tier, verdict = compare_words(base, stated0, group)
+                engine_pattern = _word_pattern(base)
+                paper_pattern = engine_pattern if tier == "a" else _word_pattern(stated0)
                 for m in range(m_range[0], m_range[1] + 1):
-                    engine, stated = base.shift(m), stated0.shift(m)
-                    tier, verdict = compare_words(engine, stated, group)
+                    engine_text = _fill(engine_pattern, m)
+                    paper_text = engine_text if tier == "a" else _fill(paper_pattern, m)
                     params_m = "%s,m=%d,twist=%d" % (ptxt, m, int(twisted))
-                    cases.append(_case(params_m, engine, stated, tier, verdict))
+                    cases.append(_case(params_m, engine_text, paper_text, tier, verdict))
     return {
         "lemma": lemma,
         "group": group,
@@ -518,20 +564,65 @@ def assemble(group: str, n: int) -> presets.Presentation:
     return presets.Presentation(group, n, presets.derived_generators(n), tuple(seen.values()))
 
 
+def _window_key(key: tuple) -> tuple[tuple, Optional[int]]:
+    """Split a ``canon_key`` into the key with its window indices shifted
+    to start at 0 and the least window index (None if it has none).
+
+    A uniform shift of the window index keeps the letter order of the key,
+    so the key of ``w.shift(m)`` splits into the same key and index + m.
+    """
+    low = min((idx[0] for _, fam, idx, _ in key if fam in M_FAMILIES), default=None)
+    if low is None:
+        return key, None
+    return tuple(
+        (rank, fam, (idx[0] - low,) + idx[1:], exp) if fam in M_FAMILIES else (rank, fam, idx, exp)
+        for rank, fam, idx, exp in key
+    ), low
+
+
+def _instance_keys(p: presets.Presentation, window: tuple[int, int]) -> dict:
+    """{(window key, position): labels} of the instances ``presets.instantiate``
+    keeps over the window, keying each relator template once, at m=0.
+
+    The instance at m sits at position (least window index) + m.  The
+    m-interval is the one ``instantiate`` keeps: every window index inside
+    its family's domain, the window plus the family's trim; a window-free
+    template has the one instance m=0.  A windowed template whose
+    instances are not shifts of each other raises ShapeMismatch.
+    """
+    lo, hi = window
+    if lo > hi:
+        raise EmptyWindow("window [%d, %d] is empty" % (lo, hi))
+    keys: dict[tuple, list[str]] = {}
+    for inst in p.relators:
+        t, windowed = inst.template, inst.windowed()
+        mlo = mhi = 0
+        if windowed:
+            _check_shifts_with_m(inst.label, t)
+            offs = t.m_offsets()
+            mlo, mhi = lo - max(offs), hi - min(offs)
+        for fam, exprs, _ in t.letters:
+            if fam in M_FAMILIES:
+                dlo, dhi = p.trim_for(fam)
+                mlo, mhi = max(mlo, lo + dlo - exprs[0][1]), min(mhi, hi + dhi - exprs[0][1])
+        key, low = _window_key(canon_key(t.instantiate(m=0)))
+        for m in range(mlo, mhi + 1):
+            label = "%s@%d" % (inst.label, m) if windowed else inst.label
+            keys.setdefault((key, None if low is None else low + m), []).append(label)
+    return keys
+
+
 def compare_catalog(group: str, n: int, window: tuple[int, int]) -> dict:
     """Compare the assembled catalog with the stated one, instance by
     instance over a window, up to the cyclic canonical form.
 
+    Each relator template is keyed once (see ``_instance_keys``).
     ``extra`` lists the labels of derived instances the stated catalog
     lacks, ``missing`` the converse.
     """
-    sides = []
-    for p in (assemble(group, n), presets.derived_presentation(group, n)):
-        keys: dict[tuple, list[str]] = {}
-        for label, w in presets.instantiate(p, window).relators:
-            keys.setdefault(canon_key(w), []).append(label)
-        sides.append(keys)
-    mine, theirs = sides
+    mine, theirs = (
+        _instance_keys(p, window) for p in (assemble(group, n), presets.derived_presentation(group, n))
+    )
     extra = sorted(lbl for key in mine.keys() - theirs.keys() for lbl in mine[key])
     missing = sorted(lbl for key in theirs.keys() - mine.keys() for lbl in theirs[key])
     return {

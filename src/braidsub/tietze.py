@@ -266,6 +266,11 @@ def drop_relator(p: Presentation, label: str, reason: str):
         kept = other.label
     else:
         raise ScriptPreconditionFailed("unknown drop reason %r" % reason)
+    return _drop(p, label, reason, kept)
+
+
+def _drop(p: Presentation, label: str, reason: str, kept: Optional[str]):
+    """Remove a relator already known to be trivial or to repeat ``kept``."""
     record = {
         "op": "drop",
         "label": label,
@@ -446,15 +451,15 @@ def torsion_cleanup(p: Presentation):
     seen: dict[tuple, str] = {}
     for inst in p.relators:
         if not inst.template:
-            drops.append((inst.label, "trivial"))
+            drops.append((inst.label, "trivial", None))
             continue
         key = template_canon_key(inst.template)
         if key in seen:
-            drops.append((inst.label, "duplicate"))
+            drops.append((inst.label, "duplicate", seen[key]))
         else:
             seen[key] = inst.label
-    for label, reason in drops:
-        p, rec = drop_relator(p, label, reason)
+    for label, reason, kept in drops:
+        p, rec = _drop(p, label, reason, kept)
         records.append(rec)
     record = {
         "op": "row",

@@ -75,15 +75,6 @@ class Symbol:
     def __post_init__(self) -> None:
         _validate(self.family, self.indices)
 
-    @classmethod
-    def _trusted(cls, family: str, indices: tuple) -> "Symbol":
-        """Build a symbol without validation, for indices already known
-        to be valid (such as a shift of a valid symbol's window index)."""
-        sym = object.__new__(cls)
-        object.__setattr__(sym, "family", family)
-        object.__setattr__(sym, "indices", indices)
-        return sym
-
     def key(self) -> tuple:
         return (_FAMILY_RANK.get(self.family, 99), self.family, self.indices)
 
@@ -131,7 +122,8 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     for sym, exp in letters:
         if exp not in (1, -1):
             raise ValueError("letter exponent must be +1 or -1, got %r" % (exp,))
-        if stack and stack[-1][0] == sym and stack[-1][1] == -exp:
+        # the exponent first: comparing two Symbols builds two tuples
+        if stack and stack[-1][1] == -exp and stack[-1][0] == sym:
             stack.pop()
         else:
             stack.append((sym, exp))
@@ -145,13 +137,6 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _reduce(letters))
-
-    @classmethod
-    def _trusted(cls, letters: tuple) -> "Word":
-        """Wrap a letter tuple that is already freely reduced."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -228,19 +213,13 @@ class Word:
         return Word(out)
 
     def shift(self, k: int) -> "Word":
-        """Add ``k`` to the window index of every a/b/f/g letter.
-
-        Validation puts no constraint on a window index, and the shift maps
-        symbols one-to-one, so the shifted symbols are built unchecked and
-        the result, reduced like its input, is not reduced again.
-        """
-        trusted = Symbol._trusted
+        """Add ``k`` to the window index of every a/b/f/g letter."""
         out = []
         for sym, exp in self.letters:
             if sym.family in M_FAMILIES:
-                sym = trusted(sym.family, (sym.indices[0] + k,) + sym.indices[1:])
+                sym = Symbol(sym.family, (sym.indices[0] + k,) + sym.indices[1:])
             out.append((sym, exp))
-        return Word._trusted(tuple(out))
+        return Word(out)
 
     def cyclic_reduce(self) -> "Word":
         letters = list(self.letters)

@@ -263,6 +263,9 @@ STAGE_2_SNAPSHOTS = {
     "verify --lemma ALL --n 5 --format json": "9a0ea60102a7df0b0098b27d522ed601d52f2456757756edb52a272db3c1625d",
     "derive --group wb --n 5 --format json": "92dcb9bbcb8bfc2c859c18368af7869b4e13b86e2adc217ace3eb0dc39167b05",
     "present --group wb --n 5 --format json": "b8b07379c18211dc5dbf3ec609ae27ac4038289a2f3b4b907d70315a3d0d9875",
+    "verify --lemma ALL --n 6 --m-range -12..12 --format json": "1983a0a2fcd94b662cbfa45901b1059f5d0676c78e591236539b9008a0a7aaef",
+    "derive --group wb --n 8 --compare-paper --window -8..8 --format json": "96b2c9bd313219f89229e9ccc345bbd1bb1d579eb46e5601f8bb529f73c03e97",
+    "derive --group vb --n 5 --compare-paper --window 0..0 --format json": "b9ff79145bc2d97110a84f6f88c9915a0de4bd0be7caa934a1b93ef25ded7d07",
 }
 
 # sha256 of the stdout of the Tietze scripts: every fixed-rank script,

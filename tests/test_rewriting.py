@@ -8,21 +8,26 @@ comparison, catalog assembly) gets unit checks against frozen spellings
 plus the property that the two independent derivation routes agree.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidsub import rewriting
+from braidsub import presets, rewriting
 from braidsub.cosets import ORIGIN, closed_form, expansion, phi, representative
-from braidsub.errors import NotConverged, NotInKernel, ParseError
+from braidsub.errors import EmptyWindow, NotConverged, NotInKernel, ParseError, ShapeMismatch
 from braidsub.presets import (
     LEMMA_TABLES,
+    SPELLINGS,
+    WELDED_SPELLINGS,
     FamilyInstance,
     GeneratorFamily,
     Presentation,
     ambient_families,
     derived_presentation,
     lemma_case_map,
+    reduced_presentation,
 )
 from braidsub.rewriting import (
     assemble,
@@ -30,6 +35,7 @@ from braidsub.rewriting import (
     canon_equal,
     canon_key,
     catalog_substitutions,
+    compare_catalog,
     compare_words,
     derive_relation,
     derive_relation_direct,
@@ -483,22 +489,114 @@ def _verify_cases_per_m(lemma, group, n, m_range):
 
 
 def test_statement_window_slots_are_relative_to_m():
-    # verify_lemma instantiates each stated template at m=0 and shifts the
-    # word; that is exact only while no a/b/f/g letter has a constant
-    # window index
-    for lemma, (_, table, _) in LEMMA_TABLES.items():
-        for fam in table:
-            for family, exprs, _ in fam.template.letters:
-                if family in M_FAMILIES:
-                    assert exprs[0][0] == "m", (lemma, fam.label)
+    # verify_lemma compares each stated template with its engine word once,
+    # at m=0, and shifts the result; that is exact only while no a/b/f/g
+    # letter of a statement template or of a catalog spelling has a
+    # constant window index
+    templates = [
+        (lemma, fam.label, fam.template) for lemma, (_, table, _) in LEMMA_TABLES.items() for fam in table
+    ]
+    templates += [("spellings", key, t) for key, t in (SPELLINGS | WELDED_SPELLINGS).items()]
+    assert len(templates) > len(WELDED_SPELLINGS) > len(SPELLINGS)
+    for where, label, t in templates:
+        for family, exprs, _ in t.letters:
+            if family in M_FAMILIES:
+                assert exprs[0][0] == "m", (where, label)
+
+
+def test_verify_lemma_raises_on_a_stated_window_letter_at_a_constant_index(monkeypatch):
+    label, table, needs = LEMMA_TABLES["L7"]
+    pinned = tuple(dataclasses.replace(fam, text="a(0) " + fam.text) for fam in table)
+    monkeypatch.setitem(LEMMA_TABLES, "L7", (label, pinned, needs))
+    with pytest.raises(ShapeMismatch, match=r"a\(0\)"):
+        verify_lemma("L7", "vb", 4)
 
 
 def test_verify_lemma_matches_per_m_derivation():
-    runs = [(lemma, "vb") for lemma, (_, _, needs) in LEMMA_TABLES.items() if needs == "vb"]
-    for n in (4, 5):
-        for lemma, group in runs + [("L5_2", "wb")]:
-            got = verify_lemma(lemma, group, n, (-3, 3))["cases"]
-            assert got == _verify_cases_per_m(lemma, group, n, (-3, 3)), (lemma, n)
+    runs = [(lemma, "vb", n) for lemma, (_, _, needs) in LEMMA_TABLES.items() if needs == "vb" for n in (4, 5)]
+    runs += [("L5_2", "wb", 5)] + [(lemma, "wb", 4) for lemma in LEMMA_TABLES]
+    tiers = set()
+    for lemma, group, n in runs:
+        got = verify_lemma(lemma, group, n, (-3, 3))["cases"]
+        assert got == _verify_cases_per_m(lemma, group, n, (-3, 3)), (lemma, group, n)
+        tiers |= {case["tier"] for case in got}
+    assert tiers == {"a", "b", "c"}
+
+
+def _compare_catalog_per_instance(group, n, window):
+    """compare_catalog the slow way: instantiate every relator over the
+    window and key every instance."""
+    sides = []
+    for p in (rewriting.assemble(group, n), derived_presentation(group, n)):
+        keys = {}
+        for label, w in presets.instantiate(p, window).relators:
+            keys.setdefault(canon_key(w), []).append(label)
+        sides.append(keys)
+    mine, theirs = sides
+    extra = sorted(lbl for key in mine.keys() - theirs.keys() for lbl in mine[key])
+    missing = sorted(lbl for key in theirs.keys() - mine.keys() for lbl in theirs[key])
+    return {
+        "derived_instances": sum(map(len, mine.values())),
+        "stated_instances": sum(map(len, theirs.values())),
+        "extra": extra,
+        "missing": missing,
+        "match": not extra and not missing,
+    }
+
+
+def test_compare_catalog_matches_per_instance_keys():
+    for group in ("vb", "wb"):
+        for n in range(3, 9):
+            for window in ((-8, 8), (-2, 2), (0, 0), (-5, 3)):
+                got = compare_catalog(group, n, window)
+                assert got == _compare_catalog_per_instance(group, n, window), (group, n, window)
+
+
+def _label_classes(keys):
+    return sorted(sorted(labels) for labels in keys.values())
+
+
+def test_instance_keys_group_labels_like_per_instance_keys():
+    # the reduced presentations trim the a block, so this also checks the
+    # m-interval each template is read over; a copy of every relator
+    # shifted by 3 must share its keys with the original's instances at m+3
+    for group in ("vb", "wb"):
+        for n in (3, 4, 5, 6):
+            for p in (derived_presentation(group, n), reduced_presentation(group, n)):
+                shifted = tuple(FamilyInstance(i.label + "+3", i.template.shift(3)) for i in p.relators)
+                p = dataclasses.replace(p, relators=p.relators + shifted)
+                for window in ((-3, 3), (0, 0), (2, 5)):
+                    oracle = {}
+                    for label, w in presets.instantiate(p, window).relators:
+                        oracle.setdefault(canon_key(w), []).append(label)
+                    got = rewriting._instance_keys(p, window)
+                    assert _label_classes(got) == _label_classes(oracle), (group, n, p.trims, window)
+
+
+def test_compare_catalog_raises_on_reversed_window_and_unshiftable_templates(monkeypatch):
+    with pytest.raises(EmptyWindow):
+        compare_catalog("vb", 4, (1, 0))
+    stated = derived_presentation("vb", 4)
+
+    def assemble_with(text):
+        extra = FamilyInstance("pinned", parse_template(text))
+        p = dataclasses.replace(stated, relators=stated.relators + (extra,))
+        monkeypatch.setattr(rewriting, "assemble", lambda group, n: p)
+
+    # every letter shifts with m, or none has m: keyed as the oracle keys it
+    for text in ("a(m) c(3)^-1 a(m+1)^-1", "a(0) f(1,0)^-1 c(3)"):
+        assemble_with(text)
+        for window in ((-2, 2), (1, 2)):
+            got = compare_catalog("vb", 4, window)
+            assert got == _compare_catalog_per_instance("vb", 4, window), (text, window)
+            if window == (-2, 2):
+                assert any(label.startswith("pinned") for label in got["extra"])
+    # a windowed relator with a constant window index is not the shift of
+    # its m=0 instance, so keying it once would answer wrongly
+    for text in ("a(m) f(0,0)", "f(m,0) g(2,3)^-1", "g(m,3) a(m+1)^-1 g(-1,3)"):
+        assemble_with(text)
+        with pytest.raises(ShapeMismatch, match="pinned"):
+            compare_catalog("vb", 4, (-2, 2))
 
 
 def test_m_lift():
@@ -542,7 +640,7 @@ def test_assemble_can_keep_the_square_bit():
 
 
 # ---------------------------------------------------------------------------
-# The trusted fast paths of words: printing and shifting
+# Printing and shifting words, and the verify print patterns
 # ---------------------------------------------------------------------------
 
 
@@ -562,6 +660,13 @@ def _shift_by_constructor(w, k):
 def test_print_word_matches_template_printer(amb, sub, k):
     for w in (Word(amb), _shift_by_constructor(Word(sub), k), Word()):
         assert print_word(w) == print_template(lift(w))
+
+
+@given(ambient_letters, subgroup_letters, st.integers(min_value=-50, max_value=50))
+def test_word_pattern_prints_every_shift(amb, sub, m):
+    # verify prints each word once as a pattern and fills it per window position
+    for w in (Word(amb), Word(sub), Word()):
+        assert rewriting._fill(rewriting._word_pattern(w), m) == print_word(w.shift(m))
 
 
 @given(subgroup_letters, st.integers(min_value=-50, max_value=50))

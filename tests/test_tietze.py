@@ -257,6 +257,9 @@ def test_torsion_cleanup_keeps_witnesses():
     assert texts["r"] == "g(m,3)"
     assert "1 families dropped" in rec["text"]
     assert [sub["label"] for sub in rec["sub"] if sub["op"] == "drop"] == ["s-inverse"]
+    # the duplicate names the relator it repeats, as drop_relator would
+    (drop,) = [sub for sub in rec["sub"] if sub["op"] == "drop"]
+    assert drop == {"op": "drop", "label": "s-inverse", "kept": "s", "text": "drop s-inverse (duplicate of s)"}
 
 
 def test_flip_g_letter_precondition():
