@@ -30,7 +30,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from . import presets
-from .errors import BadRank, EmptyWindow, ShapeMismatch, WindowTooNarrow
+from .errors import EmptyWindow, ShapeMismatch, WindowTooNarrow
 from .presets import FinitePresentation, Presentation
 from .words import TemplateWord, print_template
 
@@ -408,8 +408,6 @@ def check_perfect(group: str, n: int, windows=DEFAULT_WINDOWS) -> dict:
     does not move with the window. The full profile rides along so a
     negative verdict shows what was found instead.
     """
-    if n < 2:
-        raise BadRank("rank must be an integer >= 2, got %d" % n)
     prof = stabilization_profile(group, n, windows)
     ok = prof["stable"] and prof["torsion"] == [] and prof["free_rank_delta"] == 0
     return {

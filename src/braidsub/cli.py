@@ -194,6 +194,10 @@ def _summary_obj(summary) -> dict:
 
 
 def cmd_tietze(args) -> int:
+    if args.window and args.emit != "presentation":
+        raise ParseError("--window needs --emit presentation")
+    if args.format == "json" and args.emit == "presentation":
+        raise ParseError("--emit presentation prints text only, not --format json")
     result = tietze.run_script(args.script.upper(), args.n)
     if args.emit == "presentation":
         if args.window:

@@ -3,7 +3,9 @@
 This module holds the group-level data used everywhere else:
 
 * the ambient presentations of the virtual and welded braid groups on
-  ``n`` strands, organised into labelled relator families;
+  ``n`` strands: the seven relation shapes of the virtual group and the
+  welded move, each written as a :class:`RelatorFamily` text row over
+  the strand indices ``i`` and ``j``, like every catalog family below;
 * the reference catalogs of derived-subgroup relator families, both the
   per-source statement tables used by the verifier and the merged
   catalogs that the simplification scripts and the abelianizer start
@@ -36,14 +38,11 @@ from .words import (
     print_word,
     rho,
     sigma,
-    word,
 )
 
 # ---------------------------------------------------------------------------
-# Ambient presentations
+# Relator families over strand and window indices
 # ---------------------------------------------------------------------------
-
-GROUPS = ("vb", "wb")
 
 
 def check_rank(n: int) -> None:
@@ -51,128 +50,10 @@ def check_rank(n: int) -> None:
         raise BadRank("rank must be an integer >= 2, got %r" % (n,))
 
 
-def _braid_commute(i: int, j: int) -> Word:
-    return word(sigma(i), sigma(j), (sigma(i), -1), (sigma(j), -1))
-
-
-def _braid_adjacent(i: int) -> Word:
-    return word(sigma(i), sigma(i + 1), sigma(i), (sigma(i + 1), -1), (sigma(i), -1), (sigma(i + 1), -1))
-
-
-def _symmetric_involution(i: int) -> Word:
-    return word(rho(i), rho(i))
-
-
-def _symmetric_commute(i: int, j: int) -> Word:
-    return word(rho(i), rho(j), rho(i), rho(j))
-
-
-def _symmetric_adjacent(i: int) -> Word:
-    return word(rho(i), rho(i + 1)) ** 3
-
-
-def _mixed_commute(i: int, j: int) -> Word:
-    return word(sigma(i), rho(j), (sigma(i), -1), rho(j))
-
-
-def _mixed_adjacent(i: int) -> Word:
-    return word(rho(i), rho(i + 1), sigma(i), rho(i + 1), rho(i), (sigma(i + 1), -1))
-
-
-def _welded(i: int) -> Word:
-    return word(rho(i), sigma(i + 1), sigma(i), rho(i + 1), (sigma(i), -1), (sigma(i + 1), -1))
-
-
-@dataclass(frozen=True)
-class AmbientFamily:
-    """One labelled family of ambient relators with its concrete cases."""
-
-    label: str
-    cases: tuple  # ((params_dict, Word), ...)
-
-
-def ambient_families(group: str, n: int) -> tuple[AmbientFamily, ...]:
-    check_rank(n)
-    if group not in GROUPS:
-        raise ParseError("unknown group %r" % group)
-    fams = [
-        AmbientFamily(
-            "braid-commute",
-            tuple(
-                ({"i": i, "j": j}, _braid_commute(i, j))
-                for i in range(1, n - 1)
-                for j in range(i + 2, n)
-            ),
-        ),
-        AmbientFamily(
-            "braid-adjacent",
-            tuple(({"i": i}, _braid_adjacent(i)) for i in range(1, n - 1)),
-        ),
-        AmbientFamily(
-            "symmetric-involution",
-            tuple(({"i": i}, _symmetric_involution(i)) for i in range(1, n)),
-        ),
-        AmbientFamily(
-            "symmetric-commute",
-            tuple(
-                ({"i": i, "j": j}, _symmetric_commute(i, j))
-                for i in range(1, n - 1)
-                for j in range(i + 2, n)
-            ),
-        ),
-        AmbientFamily(
-            "symmetric-adjacent",
-            tuple(({"i": i}, _symmetric_adjacent(i)) for i in range(1, n - 1)),
-        ),
-        AmbientFamily(
-            "mixed-commute",
-            tuple(
-                ({"i": i, "j": j}, _mixed_commute(i, j))
-                for i in range(1, n)
-                for j in range(1, n)
-                if abs(i - j) > 1
-            ),
-        ),
-        AmbientFamily(
-            "mixed-adjacent",
-            tuple(({"i": i}, _mixed_adjacent(i)) for i in range(1, n - 1)),
-        ),
-    ]
-    if group == "wb":
-        fams.append(
-            AmbientFamily(
-                "welded",
-                tuple(({"i": i}, _welded(i)) for i in range(1, n - 1)),
-            )
-        )
-    return tuple(fams)
-
-
-@dataclass(frozen=True)
-class FinitePresentation:
-    """A concrete presentation: symbols and labelled relator words."""
-
-    generators: tuple[Symbol, ...]
-    relators: tuple  # ((label, Word), ...)
-
-
-def ambient_presentation(group: str, n: int) -> FinitePresentation:
-    gens = tuple(sigma(i) for i in range(1, n)) + tuple(rho(i) for i in range(1, n))
-    rels = []
-    for fam in ambient_families(group, n):
-        for params, w in fam.cases:
-            rels.append(("%s[%s]" % (fam.label, params_text(params)), w))
-    return FinitePresentation(gens, tuple(rels))
-
-
 def params_text(params: dict) -> str:
     """The ``i=1,j=3`` spelling of integer parameters, in name order."""
     return ",".join("%s=%d" % (k, params[k]) for k in sorted(params))
 
-
-# ---------------------------------------------------------------------------
-# Relator families over the window variable
-# ---------------------------------------------------------------------------
 
 DomainFn = Callable[[int], list]
 
@@ -185,8 +66,8 @@ def _needs_c3(n: int) -> list:
     return [{}] if n >= 4 else []
 
 
-def _range_i3(n: int) -> list:
-    return [{"i": i} for i in range(3, n)]
+def _range_i3(n: int, low: int = 3) -> list:
+    return [{"i": i} for i in range(low, n)]
 
 
 def _range_j3(n: int) -> list:
@@ -201,12 +82,17 @@ def _range_k4(n: int) -> list:
     return [{"k": k} for k in range(4, n)]
 
 
-def _range_adj(n: int) -> list:
-    return [{"i": i} for i in range(3, n - 1)]
+def _range_adj(n: int, low: int = 3) -> list:
+    return [{"i": i} for i in range(low, n - 1)]
 
 
-def _pairs_far(n: int) -> list:
-    return [{"i": i, "j": j} for i in range(3, n) for j in range(i + 2, n)]
+def _pairs_far(n: int, low: int = 3) -> list:
+    return [{"i": i, "j": j} for i in range(low, n) for j in range(i + 2, n)]
+
+
+def _pairs_apart(n: int) -> list:
+    """Ordered strand pairs at distance at least 2, both from strand 1."""
+    return [{"i": i, "j": j} for i in range(1, n) for j in range(1, n) if abs(i - j) > 1]
 
 
 def _cg_pairs(n: int) -> list:
@@ -257,6 +143,83 @@ def expand_families(families: Iterable[RelatorFamily], n: int) -> tuple[FamilyIn
     for fam in families:
         out.extend(fam.expand(n))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Ambient presentations
+# ---------------------------------------------------------------------------
+
+# The ambient strand ranges start at strand 1, the derived ones at 3.
+_ambient_i = functools.partial(_range_i3, low=1)
+_ambient_adj = functools.partial(_range_adj, low=1)
+_ambient_far = functools.partial(_pairs_far, low=1)
+
+# The seven relation shapes of the virtual group.
+AMBIENT_VB_FAMILIES: tuple[RelatorFamily, ...] = (
+    RelatorFamily("braid-commute", "sigma(i) sigma(j) sigma(i)^-1 sigma(j)^-1", _ambient_far),
+    RelatorFamily(
+        "braid-adjacent",
+        "sigma(i) sigma(i+1) sigma(i) sigma(i+1)^-1 sigma(i)^-1 sigma(i+1)^-1",
+        _ambient_adj,
+    ),
+    RelatorFamily("symmetric-involution", "rho(i) rho(i)", _ambient_i),
+    RelatorFamily("symmetric-commute", "rho(i) rho(j) rho(i) rho(j)", _ambient_far),
+    RelatorFamily("symmetric-adjacent", "rho(i) rho(i+1) rho(i) rho(i+1) rho(i) rho(i+1)", _ambient_adj),
+    RelatorFamily("mixed-commute", "sigma(i) rho(j) sigma(i)^-1 rho(j)", _pairs_apart),
+    RelatorFamily("mixed-adjacent", "rho(i) rho(i+1) sigma(i) rho(i+1) rho(i) sigma(i+1)^-1", _ambient_adj),
+)
+
+# The welded move: the extra relation shape of the welded group.
+AMBIENT_WELDED_FAMILIES: tuple[RelatorFamily, ...] = (
+    RelatorFamily("welded", "rho(i) sigma(i+1) sigma(i) rho(i+1) sigma(i)^-1 sigma(i+1)^-1", _ambient_adj),
+)
+
+
+def _for_group(group: str, vb_families: tuple, welded_families: tuple) -> tuple:
+    if group == "vb":
+        return vb_families
+    if group == "wb":
+        return vb_families + welded_families
+    raise ParseError("unknown group %r" % group)
+
+
+def ambient_relator_families(group: str) -> tuple[RelatorFamily, ...]:
+    return _for_group(group, AMBIENT_VB_FAMILIES, AMBIENT_WELDED_FAMILIES)
+
+
+@dataclass(frozen=True)
+class AmbientFamily:
+    """One labelled family of ambient relators with its concrete cases."""
+
+    label: str
+    cases: tuple  # ((params_dict, Word), ...)
+
+
+def ambient_family(fam: RelatorFamily, n: int) -> AmbientFamily:
+    """The concrete cases of one ambient relator row at rank n."""
+    return AmbientFamily(
+        fam.label, tuple((aux, fam.template.bind(**aux).instantiate()) for aux in fam.domain(n))
+    )
+
+
+def ambient_families(group: str, n: int) -> tuple[AmbientFamily, ...]:
+    check_rank(n)
+    return tuple(ambient_family(fam, n) for fam in ambient_relator_families(group))
+
+
+@dataclass(frozen=True)
+class FinitePresentation:
+    """A concrete presentation: symbols and labelled relator words."""
+
+    generators: tuple[Symbol, ...]
+    relators: tuple  # ((label, Word), ...)
+
+
+def ambient_presentation(group: str, n: int) -> FinitePresentation:
+    check_rank(n)
+    gens = tuple(sigma(i) for i in range(1, n)) + tuple(rho(i) for i in range(1, n))
+    insts = expand_families(ambient_relator_families(group), n)
+    return FinitePresentation(gens, tuple((inst.label, inst.template.instantiate()) for inst in insts))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +322,7 @@ WELDED_SPELLINGS = SPELLINGS | {
 
 
 def main_families(group: str) -> tuple[RelatorFamily, ...]:
-    if group == "vb":
-        return MAIN_VB_FAMILIES
-    if group == "wb":
-        return MAIN_VB_FAMILIES + WELDED_FAMILIES
-    raise ParseError("unknown group %r" % group)
+    return _for_group(group, MAIN_VB_FAMILIES, WELDED_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +382,9 @@ def generator_count(p: Presentation) -> GeneratorSummary:
     unbounded: list[str] = []
     for gen in p.generators:
         if not gen.windowed:
-            names.append("%s(%s)" % (gen.family, ",".join(str(v) for v in gen.fixed)))
+            names.append(gen.name())
         elif gen.basis is not None:
-            for m in sorted(gen.basis):
-                names.append("%s(%s)" % (gen.family, ",".join([str(m)] + [str(v) for v in gen.fixed])))
+            names.extend(str(Symbol(gen.family, (m,) + gen.fixed)) for m in sorted(gen.basis))
         else:
             unbounded.append(gen.name())
     if unbounded:
@@ -743,11 +701,12 @@ L5_2_FAMILIES = _statement_table(
     "welded-c-a-shift",
 )
 
-# Conjugation rule statements: symbol text -> conjugated word text.
+# Conjugation rule statements: symbol text -> conjugated word text, over
+# the domain of their aux names.
 CONJUGATION_RULES = (
-    ("a(1)", "a(0) a(1)^-1 a(0)^-1", None),
-    ("f(2,1)", "a(0) a(1) f(2,0) a(1)^-1 a(0)^-1", None),
-    ("g(2,i)", "a(0) a(1) g(2,i) a(1)^-1 a(0)^-1", "i"),
+    ("a(1)", "a(0) a(1)^-1 a(0)^-1", _always),
+    ("f(2,1)", "a(0) a(1) f(2,0) a(1)^-1 a(0)^-1", _always),
+    ("g(2,i)", "a(0) a(1) g(2,i) a(1)^-1 a(0)^-1", _range_i3),
 )
 
 LEMMA_IDS = ("L3_1", "L3", "L5", "L7", "L8", "L8_1", "L10", "L12", "CON", "L5_2")

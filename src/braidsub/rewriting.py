@@ -443,9 +443,8 @@ def _closed_form_cases(n: int, m_range: tuple[int, int]) -> list[dict]:
 
 def _conjugation_cases(n: int) -> list[dict]:
     rows = []
-    for sym_text, stated_text, aux in presets.CONJUGATION_RULES:
-        bindings = [{}] if aux is None else [{aux: v} for v in range(3, n)]
-        for bind in bindings:
+    for sym_text, stated_text, domain in presets.CONJUGATION_RULES:
+        for bind in domain(n):
             sym = parse_template(sym_text).bind(**bind).instantiate()[0][0]
             stated = parse_template(stated_text).bind(**bind).instantiate()
             engine = rho1_rule(sym)
@@ -481,8 +480,8 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
         fam_label, table, needs = presets.LEMMA_TABLES[lemma]
         if needs == "wb" and group != "wb":
             raise ParseError("statement %s concerns the welded group" % lemma)
-        fams = {af.label: af for af in presets.ambient_families(group, n)}
-        ambient = fams[fam_label]
+        rows = {fam.label: fam for fam in presets.ambient_relator_families(group)}
+        ambient = presets.ambient_family(rows[fam_label], n)
         cases = []
         for params, r in ambient.cases:
             ptxt = presets.params_text(params)

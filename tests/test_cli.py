@@ -179,6 +179,20 @@ def test_tietze_emit_presentation(capsys):
     assert "error:" in err
 
 
+def test_tietze_rejects_ignored_flags(capsys):
+    code, out, err = run(capsys, "tietze", "--script", "vb3_reduce", "--window", "-1..1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --window needs --emit presentation\n"
+    code, out, err = run(
+        capsys, "tietze", "--script", "vb3_reduce", "--emit", "presentation",
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --emit presentation prints text only, not --format json\n"
+
+
 def test_derive_compare(capsys):
     for group in ("vb", "wb"):
         code, out, _ = run(
@@ -280,6 +294,16 @@ STAGE_3_SNAPSHOTS = {
 }
 
 
+# sha256 of the stdout of the ambient presentations and the report
+PRESENT_REPORT_SNAPSHOTS = {
+    "present --group vb --n 2": "ae100c12df77e7dca010f6d38d63bcd209c44b546b31c281dab871a65de7f500",
+    "present --group wb --n 3": "fc4ab566e46f5247baebc31830c7ba2cd501e5054fb005fb0d8d98864969b728",
+    "present --group vb --n 8 --format json": "bdfc4b65ae46f97550199a320b27cac84061a7e1245d376330477a5149548670",
+    "report --format json": "708253f2464b413d4aac1db9da464f9024ee04ffe83d852298aa2512b54420f0",
+    "report": "58407cbeb9a5a3193d6f30615a4606a927784824087aaefbeb26bbf7e3ddb416",
+}
+
+
 def _output_snapshot_test(snapshots):
     @pytest.mark.parametrize("command", sorted(snapshots))
     def test(capsys, command):
@@ -296,3 +320,4 @@ def _output_snapshot_test(snapshots):
 
 test_stage_2_output_snapshot = _output_snapshot_test(STAGE_2_SNAPSHOTS)
 test_stage_3_output_snapshot = _output_snapshot_test(STAGE_3_SNAPSHOTS)
+test_present_report_output_snapshot = _output_snapshot_test(PRESENT_REPORT_SNAPSHOTS)

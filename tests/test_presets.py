@@ -34,6 +34,7 @@ from braidsub.presets import (
     lemma_case_map,
     main_families,
     parse_presentation,
+    print_finite,
     print_presentation,
     reduced_presentation,
     vb3_final_presentation,
@@ -58,6 +59,50 @@ def test_ambient_counts():
     assert len(ambient_presentation("vb", 4).relators) == 13
     assert len(ambient_presentation("vb", 5).relators) == 25
     assert len(ambient_presentation("wb", 5).relators) == 28
+
+
+def test_ambient_wb4_spelled_letter_by_letter():
+    # every relation shape of the welded group, frozen as literal text
+    assert print_finite(ambient_presentation("wb", 4)) == (
+        "generators:\n"
+        "  s1\n"
+        "  s2\n"
+        "  s3\n"
+        "  r1\n"
+        "  r2\n"
+        "  r3\n"
+        "relators:\n"
+        "  # braid-commute[i=1,j=3]\n"
+        "  s1 s3 s1^-1 s3^-1\n"
+        "  # braid-adjacent[i=1]\n"
+        "  s1 s2 s1 s2^-1 s1^-1 s2^-1\n"
+        "  # braid-adjacent[i=2]\n"
+        "  s2 s3 s2 s3^-1 s2^-1 s3^-1\n"
+        "  # symmetric-involution[i=1]\n"
+        "  r1 r1\n"
+        "  # symmetric-involution[i=2]\n"
+        "  r2 r2\n"
+        "  # symmetric-involution[i=3]\n"
+        "  r3 r3\n"
+        "  # symmetric-commute[i=1,j=3]\n"
+        "  r1 r3 r1 r3\n"
+        "  # symmetric-adjacent[i=1]\n"
+        "  r1 r2 r1 r2 r1 r2\n"
+        "  # symmetric-adjacent[i=2]\n"
+        "  r2 r3 r2 r3 r2 r3\n"
+        "  # mixed-commute[i=1,j=3]\n"
+        "  s1 r3 s1^-1 r3\n"
+        "  # mixed-commute[i=3,j=1]\n"
+        "  s3 r1 s3^-1 r1\n"
+        "  # mixed-adjacent[i=1]\n"
+        "  r1 r2 s1 r2 r1 s2^-1\n"
+        "  # mixed-adjacent[i=2]\n"
+        "  r2 r3 s2 r3 r2 s3^-1\n"
+        "  # welded[i=1]\n"
+        "  r1 s2 s1 r2 s1^-1 s2^-1\n"
+        "  # welded[i=2]\n"
+        "  r2 s3 s2 r3 s2^-1 s3^-1\n"
+    )
 
 
 def test_ambient_relators_have_trivial_image():
