@@ -45,8 +45,64 @@ def _outdir() -> str:
     return path
 
 
+# C-level encoders: ``indent`` would drop json.dumps to its pure-Python one
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
+        key = _encode_scalar(key)
+    return _encode_str(key) + ": "
+
+
+def _json_parts(obj, newline: str, parts: list) -> None:
+    """Append the ``indent=2`` text of obj, nested after ``newline``, to parts."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _json_parts(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        items = sorted(obj.items())
+        if all(isinstance(value, str) for _, value in items):
+            body = ("," + inner).join(_json_key(key) + _encode_str(value) for key, value in items)
+            parts.append("{" + inner + body + newline + "}")
+            return
+        sep = "{" + inner
+        for key, value in items:
+            parts.append(sep + _json_key(key))
+            _json_parts(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(_encode_scalar(obj))
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, from the C encoders.
+
+    A dict of strings, such as a verify case row, is joined into one
+    string; every other part is collected in one list and joined once.
+    """
+    parts: list = []
+    _json_parts(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _write_report(name: str, obj) -> str:

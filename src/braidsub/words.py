@@ -363,11 +363,14 @@ class TemplateWord:
         ``replacement`` is a template describing the letter whose window
         index is plain ``m``; it is realigned to each occurrence's own
         window index (shifted for affine indices, bound for constants).
+        A template without such a letter is returned as it is.
         """
         want = tuple((None, v) for v in fixed)
         for fam, exprs, _ in replacement.letters:
             if fam == family and exprs[1:] == want:
                 raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
+        if not any(fam == family and exprs[1:] == want for fam, exprs, _ in self.letters):
+            return self
         rep_inv = replacement.inverse()
         out: list[TLetter] = []
         for fam, exprs, exp in self.letters:

@@ -490,7 +490,7 @@ def test_script_truncation_agreement():
     for name, n in (("VB3_REDUCE", None), ("VBN_REDUCE", None), ("VBN_REDUCE", 5),
                     ("VBN_REDUCE", 6), ("VBN_REDUCE", 7), ("VBN_REDUCE", 8),
                     ("WB3_REDUCE", None), ("WB4_REDUCE", None), ("WBN_REDUCE", None),
-                    ("WBN_REDUCE", 6)):
+                    ("WBN_REDUCE", 6), ("WBN_REDUCE", 7), ("WBN_REDUCE", 8)):
         res = run_script(name, n)
         out = check_script_truncation(res)
         assert out["agree"], (name, n)

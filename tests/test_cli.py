@@ -8,6 +8,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidsub import cli
 from braidsub.abelianize import relation_matrix
@@ -268,6 +270,34 @@ def test_outputs_are_deterministic(capsys):
         _, out, _ = run(capsys, "tietze", "--script", "wb4_reduce", "--format", "json")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+json_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters(), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4)
+    | st.dictionaries(json_text, json_text, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_dump_json_matches_indented_json_dumps(obj):
+    # the report writer uses the C encoders, json.dumps(indent=2) the oracle
+    assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_keys_and_errors_follow_json_dumps():
+    for obj in ({1: 2, -3: [4]}, {2.5: {}, -1.0: "x"}, {None: 0}, {True: 1, False: [1]}, {"": {"": ""}}):
+        assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    for bad in ({"a": {1, 2}}, [1, object()], {(1, 2): 3}, {"x": "y", "z": b"w"}, {1: 2, "1": 3}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._dump_json(bad)
 
 
 # sha256 of the stdout of the statement checks, the catalog assembly and

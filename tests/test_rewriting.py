@@ -59,7 +59,10 @@ from braidsub.words import (
     TemplateWord,
     Word,
     a,
+    b,
+    c,
     f,
+    g,
     lift,
     parse_template,
     parse_word,
@@ -521,6 +524,86 @@ def test_verify_lemma_matches_per_m_derivation():
         assert got == _verify_cases_per_m(lemma, group, n, (-3, 3)), (lemma, group, n)
         tiers |= {case["tier"] for case in got}
     assert tiers == {"a", "b", "c"}
+
+
+def _closed_form_cases_per_m(n, m_range):
+    """The L3_1 rows the slow way: every generator at every window position
+    is expanded, compared with its closed form and printed in full."""
+    syms = []
+    for m in range(m_range[0], m_range[1] + 1):
+        syms.append(a(m))
+        for e in (0, 1):
+            syms += [b(m, e), f(m, e)]
+        syms += [g(m, l) for l in range(3, n)]
+    syms += [c(l) for l in range(3, n)]
+    rows = []
+    for sym in syms:
+        engine = expansion(sym)
+        stated = closed_form(sym)
+        if engine == stated:
+            tier, verdict = "a", "exact"
+        elif rewriting._rho1_involution_normal(engine) == rewriting._rho1_involution_normal(stated):
+            tier, verdict = "b", "equal-after-normalization"
+        else:
+            tier, verdict = "", "MISMATCH"
+        text = print_word(engine)
+        rows.append(
+            {
+                "params": str(sym),
+                "engine_word": text,
+                "paper_word": text if tier == "a" else print_word(stated),
+                "tier": tier,
+                "verdict": verdict,
+            }
+        )
+    return rows
+
+
+def test_closed_forms_match_per_m_expansion():
+    for n in range(3, 9):
+        got = verify_lemma("L3_1", "vb", n, (-40, 40))["cases"]
+        assert got == _closed_form_cases_per_m(n, (-40, 40)), n
+    assert {case["tier"] for case in got} == {"a", "b"}
+
+
+def test_closed_forms_at_the_edges_of_the_m_range():
+    # an empty range leaves the c(l) rows; a single point; ranges on one
+    # side of every sign change of the s1 runs; ranges across all of them
+    runs = [(n, (1, 0)) for n in (3, 8)] + [(n, (m, m)) for n in (3, 8) for m in (-2, -1, 0, 1, 7)]
+    runs += [(n, r) for n in (3, 5) for r in ((100, 120), (-120, -100))]
+    runs += [(n, r) for n in (3, 8) for r in ((-3, 3), (-1, 0), (-2, -1), (0, 1))]
+    for n, m_range in runs:
+        got = rewriting._closed_form_cases(n, m_range)
+        assert got == _closed_form_cases_per_m(n, m_range), (n, m_range)
+    assert [case["params"] for case in rewriting._closed_form_cases(5, (1, 0))] == ["c(3)", "c(4)"]
+    assert rewriting._closed_form_cases(3, (1, 0)) == []
+
+
+def test_closed_forms_raise_on_a_word_that_does_not_split(monkeypatch):
+    s1, r1 = sigma(1), rho(1)
+
+    def spelled(build):
+        def closed(sym):
+            if sym.family != "a":
+                return closed_form(sym)
+            return Word(build(sym.indices[0]))
+
+        return closed
+
+    def run(k):
+        return [(s1, 1 if k > 0 else -1)] * abs(k)
+
+    misfits = [
+        (lambda m: run(2 * m + 1), "no core"),
+        # a run that fits p(m) = m at m = 0, 1 only
+        (lambda m: run(abs(m)) + [(r1, 1), (s1, 1), (r1, 1)] + run(-m - 1), r"a\(-5\) does not split"),
+        (lambda m: run(m) + [(r1, 1), (s1, 1), (r1, 1)] + run(-m), "s1 runs of a"),
+        (lambda m: run(m) + [(r1, 1), (sigma(2 + m % 2), 1), (r1, 1)] + run(-m - 1), "core of a"),
+    ]
+    for build, match in misfits:
+        monkeypatch.setattr(rewriting, "closed_form", spelled(build))
+        with pytest.raises(ShapeMismatch, match=match):
+            verify_lemma("L3_1", "vb", 4, (-5, 5))
 
 
 def _compare_catalog_per_instance(group, n, window):

@@ -10,7 +10,7 @@ presentations and generator counts.
 import pytest
 
 from braidsub import tietze
-from braidsub.errors import BadRank, NotSolvable, ScriptPreconditionFailed
+from braidsub.errors import BadRank, CyclicSubstitution, NotSolvable, ParametricInput, ScriptPreconditionFailed
 from braidsub.presets import (
     FamilyInstance,
     GeneratorFamily,
@@ -98,6 +98,46 @@ def test_eliminate_family_basics():
         eliminate_family(p1, "b", (1,), "f-step-b0")
     with pytest.raises(ScriptPreconditionFailed):
         eliminate_family(p1, "b", (0,), "no-such-label")
+
+
+
+def _substitute_family_full_scan(self, family, fixed, replacement):
+    """TemplateWord.substitute_family as a full scan: every template is
+    rebuilt, and the replacement inverted, whether the family occurs in
+    it or not."""
+    want = tuple((None, v) for v in fixed)
+    for fam, exprs, _ in replacement.letters:
+        if fam == family and exprs[1:] == want:
+            raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
+    rep_inv = replacement.inverse()
+    out = []
+    for fam, exprs, exp in self.letters:
+        if fam == family and exprs[1:] == want:
+            var, off = exprs[0]
+            chosen = replacement if exp == 1 else rep_inv
+            if var == "m":
+                rep = chosen.shift(off)
+            elif var is None:
+                rep = chosen.bind(m=off)
+            else:
+                raise ParametricInput("cannot align a substitution to index %s" % (exprs[0],))
+            out.extend(rep.letters)
+        else:
+            out.append((fam, exprs, exp))
+    return TemplateWord(out)
+
+
+def test_eliminate_family_matches_the_full_scan(monkeypatch):
+    # substitute_family hands back a template without the family unchanged
+    t = parse_template("a(m) f(m+1,0)^-1 c(3)")
+    assert t.substitute_family("b", (1,), parse_template("f(m,0) a(m)")) is t
+    runs = [(name, n) for name, (_, low, only, _, _) in SCRIPTS.items() for n in ((low,) if only else (low, 8))]
+    fast = [run_script(name, n) for name, n in runs]
+    monkeypatch.setattr(TemplateWord, "substitute_family", _substitute_family_full_scan)
+    for (name, n), res in zip(runs, fast):
+        slow = run_script(name, n)
+        assert res.steps == slow.steps, (name, n)
+        assert res.final == slow.final, (name, n)
 
 
 def test_eliminate_produces_reference_templates():
