@@ -445,7 +445,11 @@ def f_killed_quotient(p: Presentation) -> dict:
 
 
 def step_invariants(
-    before: Presentation, after: Presentation, record: dict, window: tuple[int, int]
+    before: Presentation,
+    after: Presentation,
+    record: dict,
+    window: tuple[int, int],
+    carry: Optional[dict] = None,
 ) -> tuple[dict, dict]:
     """Matched truncated invariants on both sides of one script step.
 
@@ -453,13 +457,28 @@ def step_invariants(
     before and after the step, or when the step removed its relator; for
     an elimination the removed family is restricted to the indices whose
     replacement words fit the window.
+
+    ``carry``, when given, is a dict that hands the rows of this step's
+    after side on to the next call, which reuses them as its before side
+    when the presentation and its domains are the same.  A caller that
+    walks a script one window at a time so builds the rows of each
+    intermediate presentation once, not once as the after side of a step
+    and again as the before side of the next.
     """
     doms_b, doms_a = _domains(before, window), _domains(after, window)
     if record["op"] == "eliminate":
         key = (record["family"], tuple(record["fixed"]))
         _, lo, hi = _span(record["replacement"], doms_a)
         doms_b[key] = (max(doms_b[key][0], lo), min(doms_b[key][1], hi))
-    rows_b, rows_a = _rows(before, doms_b), _rows(after, doms_a)
+    if carry is None:
+        carry = {}
+    if carry.get("presentation") is before and carry["domains"] == doms_b:
+        rows_b = carry["rows"]
+    else:
+        carry.clear()  # the stale rows go before new ones are built
+        rows_b = _rows(before, doms_b)
+    rows_a = _rows(after, doms_a)
+    carry.update(presentation=after, domains=doms_a, rows=rows_a)
     labels_a = {inst.label for inst in after.relators}
     kept = [k for k in rows_b if k in rows_a or k[0] not in labels_a]
     return (
@@ -469,18 +488,27 @@ def step_invariants(
 
 
 def check_script_truncation(result, windows=DEFAULT_WINDOWS) -> dict:
-    """Compare truncated invariants across every step of a script run."""
-    steps = []
-    agree = True
+    """Compare truncated invariants across every step of a script run.
+
+    Each window walks the script once, carrying each step's after-side
+    rows to the next step (see step_invariants); the report lists the
+    steps in script order, each with its windows in order.
+    """
+    checked = []
     prev = result.initial
     for idx, (record, after) in enumerate(result.steps):
-        if record["op"] in ("seeds", "observe"):
-            prev = after
-            continue
+        if record["op"] not in ("seeds", "observe"):
+            checked.append((idx, record, prev, after))
+        prev = after
+    invariants_at = {}
+    for window in windows:
+        carry: dict = {}
+        for idx, record, before, after in checked:
+            invariants_at[idx, window] = step_invariants(before, after, record, window, carry)
+    steps = []
+    for idx, record, _, _ in checked:
         for window in windows:
-            inv_b, inv_a = step_invariants(prev, after, record, window)
-            ok = inv_b == inv_a
-            agree = agree and ok
+            inv_b, inv_a = invariants_at[idx, window]
             steps.append(
                 {
                     "step": idx,
@@ -488,10 +516,10 @@ def check_script_truncation(result, windows=DEFAULT_WINDOWS) -> dict:
                     "window": list(window),
                     "before": inv_b,
                     "after": inv_a,
-                    "agree": ok,
+                    "agree": inv_b == inv_a,
                 }
             )
-        prev = after
+    agree = all(step["agree"] for step in steps)
     return {"script": result.name, "n": result.n, "steps": steps, "agree": agree}
 
 

@@ -29,6 +29,7 @@ script runs, so they call whatever the module names are bound to then.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,12 +51,16 @@ def _relator(p: Presentation, label: str) -> FamilyInstance:
     raise ScriptPreconditionFailed("no relator family labelled %r" % label)
 
 
+def _row_record(label: Optional[str], text: str) -> dict:
+    return {"op": "row", "label": label, "text": text}
+
+
 def _row(p: Presentation, label: str, t: TemplateWord, text: str):
     """Replace the template of one relator; the step record of a rewrite."""
     rels = tuple(
         FamilyInstance(label, t) if inst.label == label else inst for inst in p.relators
     )
-    return dataclasses.replace(p, relators=rels), {"op": "row", "label": label, "text": text}
+    return dataclasses.replace(p, relators=rels), _row_record(label, text)
 
 
 def _witness(p: Presentation, t: TemplateWord, skip: Optional[str] = None):
@@ -71,10 +76,12 @@ def _licence(p: Presentation, t: TemplateWord) -> str:
     """The label of the present relator family that licenses a rewrite by t."""
     inst = _witness(p, t)
     if inst is None:
-        raise ScriptPreconditionFailed(
-            "presentation has no relator family matching %s" % print_template(t)
-        )
+        raise _unlicensed(t)
     return inst.label
+
+
+def _unlicensed(t: TemplateWord) -> ScriptPreconditionFailed:
+    return ScriptPreconditionFailed("presentation has no relator family matching %s" % print_template(t))
 
 
 def _block(p: Presentation, family: str, fixed: tuple) -> int:
@@ -269,16 +276,19 @@ def drop_relator(p: Presentation, label: str, reason: str):
     return _drop(p, label, reason, kept)
 
 
-def _drop(p: Presentation, label: str, reason: str, kept: Optional[str]):
-    """Remove a relator already known to be trivial or to repeat ``kept``."""
-    record = {
+def _drop_record(label: str, reason: str, kept: Optional[str]) -> dict:
+    return {
         "op": "drop",
         "label": label,
         "kept": kept,
         "text": "drop %s (%s%s)" % (label, reason, " of %s" % kept if kept else ""),
     }
+
+
+def _drop(p: Presentation, label: str, reason: str, kept: Optional[str]):
+    """Remove a relator already known to be trivial or to repeat ``kept``."""
     rels = tuple(other for other in p.relators if other.label != label)
-    return dataclasses.replace(p, relators=rels), record
+    return dataclasses.replace(p, relators=rels), _drop_record(label, reason, kept)
 
 
 def rotate_relator(p: Presentation, label: str, k: int):
@@ -416,19 +426,29 @@ def rewrite_letter(
     return _row(p, label, new, text)
 
 
-def torsion_reduce_relator(p: Presentation, label: str):
-    """Merge torsion syllables (f mod three, g mod two) in one relator."""
-    t = _relator(p, label).template
+def _torsion_row(t: TemplateWord, label: str, licence) -> tuple[TemplateWord, str]:
+    """The torsion merge of one relator and the text of its record.
+
+    A merge that changes f letters calls ``licence`` on the f cube, one
+    that changes g letters on the square of each strand; ``licence``
+    raises when no relator family matches.
+    """
     new = TemplateWord(torsion_merge(t.letters))
     if new == t:
-        return _row(p, label, t, "torsion merge on %s: no change" % label)
+        return t, "torsion merge on %s: no change" % label
     old_fams = {(fam, exprs) for fam, exprs, _ in t.letters}
     if any(fam == "f" for fam, _ in old_fams):
-        _licence(p, _F_CUBE)
+        licence(_F_CUBE)
     for fam, exprs in old_fams:
         if fam == "g":
-            _licence(p, _g_square(exprs[1][1], 0))
-    return _row(p, label, new, "torsion merge on %s: %s" % (label, print_template(new)))
+            licence(_g_square(exprs[1][1], 0))
+    return new, "torsion merge on %s: %s" % (label, print_template(new))
+
+
+def torsion_reduce_relator(p: Presentation, label: str):
+    """Merge torsion syllables (f mod three, g mod two) in one relator."""
+    new, text = _torsion_row(_relator(p, label).template, label, lambda w: _licence(p, w))
+    return _row(p, label, new, text)
 
 
 def torsion_cleanup(p: Presentation):
@@ -436,38 +456,47 @@ def torsion_cleanup(p: Presentation):
 
     The witness relators themselves (the f cube and the per-strand g
     squares) are left untouched: they license the merges and stay in the
-    final presentation.
+    final presentation.  One pass does the work of torsion_reduce_relator
+    on each other relator in turn: a count of the canonical keys present,
+    updated as rows merge, answers each licence check against the
+    presentation as it stands at that relator.  Relator labels are
+    unique, as in every presentation a script builds.
     """
     witness_keys = {template_canon_key(_F_CUBE)} | {
         template_canon_key(_g_square(gen.fixed[0], 0)) for gen in p.generators if gen.family == "g"
     }
+    rels = list(p.relators)
+    keys = [template_canon_key(inst.template) for inst in rels]
+    present = Counter(keys)
+
+    def licence(w: TemplateWord) -> None:
+        if not present[template_canon_key(w)]:
+            raise _unlicensed(w)
+
     records = []
-    for inst in list(p.relators):
-        if template_canon_key(inst.template) in witness_keys:
+    for i, inst in enumerate(rels):
+        if keys[i] in witness_keys:
             continue
-        p, rec = torsion_reduce_relator(p, inst.label)
-        records.append(rec)
-    drops = []
+        new, text = _torsion_row(inst.template, inst.label, licence)
+        records.append(_row_record(inst.label, text))
+        if new is not inst.template:
+            present[keys[i]] -= 1
+            keys[i] = template_canon_key(new)
+            present[keys[i]] += 1
+            rels[i] = FamilyInstance(inst.label, new)
+    kept, drops = [], []
     seen: dict[tuple, str] = {}
-    for inst in p.relators:
+    for inst, key in zip(rels, keys):
         if not inst.template:
-            drops.append((inst.label, "trivial", None))
-            continue
-        key = template_canon_key(inst.template)
-        if key in seen:
-            drops.append((inst.label, "duplicate", seen[key]))
+            drops.append(_drop_record(inst.label, "trivial", None))
+        elif key in seen:
+            drops.append(_drop_record(inst.label, "duplicate", seen[key]))
         else:
             seen[key] = inst.label
-    for label, reason, kept in drops:
-        p, rec = _drop(p, label, reason, kept)
-        records.append(rec)
-    record = {
-        "op": "row",
-        "label": None,
-        "text": "torsion cleanup: %d families dropped" % len(drops),
-        "sub": records,
-    }
-    return p, record
+            kept.append(inst)
+    record = _row_record(None, "torsion cleanup: %d families dropped" % len(drops))
+    record["sub"] = records + drops
+    return dataclasses.replace(p, relators=tuple(kept)), record
 
 
 # ---------------------------------------------------------------------------

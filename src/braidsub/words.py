@@ -274,12 +274,23 @@ class TemplateWord:
     The distinguished variable ``m`` is the window variable; any other
     variable (``i``, ``j``, ``k``, ``l``, ``e``) is auxiliary and is bound
     before window instantiation.
+
+    The hash, the printed text and the block set are computed on first
+    use and kept in private slots, so a template carried unchanged from
+    one presentation to the next pays for them once.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash", "_text", "_blocks")
 
     def __init__(self, letters: Iterable[TLetter] = ()):
         object.__setattr__(self, "letters", _treduce(letters))
+
+    @classmethod
+    def _reduced(cls, letters: tuple) -> "TemplateWord":
+        """Wrap a letter tuple that is already freely reduced."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "letters", letters)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("TemplateWord is immutable")
@@ -297,7 +308,12 @@ class TemplateWord:
         return isinstance(other, TemplateWord) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.letters)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return "TemplateWord(%s)" % print_template(self)
@@ -306,7 +322,25 @@ class TemplateWord:
         return TemplateWord(self.letters + other.letters)
 
     def inverse(self) -> "TemplateWord":
-        return TemplateWord(tuple((fam, exprs, -exp) for fam, exprs, exp in reversed(self.letters)))
+        # the inverse of a freely reduced word is freely reduced
+        return TemplateWord._reduced(
+            tuple((fam, exprs, -exp) for fam, exprs, exp in reversed(self.letters))
+        )
+
+    def blocks(self) -> frozenset:
+        """The (family, fixed) pairs of the letters whose trailing slots are
+        all constant, ``fixed`` holding those constants."""
+        try:
+            return self._blocks
+        except AttributeError:
+            raw = {(fam, exprs[1:]) for fam, exprs, _ in self.letters}
+            out = frozenset(
+                (fam, tuple(v for _, v in rest))
+                for fam, rest in raw
+                if all(var is None for var, _ in rest)
+            )
+            object.__setattr__(self, "_blocks", out)
+            return out
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -317,12 +351,23 @@ class TemplateWord:
         return out
 
     def shift(self, k: int) -> "TemplateWord":
-        """Substitute ``m -> m + k``."""
+        """Substitute ``m -> m + k``.
+
+        The substitution maps letters one to one, so the result is freely
+        reduced as this template is.
+        """
+        if not k:
+            return self
+        moved: dict = {}
         out = []
-        for fam, exprs, exp in self.letters:
-            exprs = tuple((var, off + k) if var == "m" else (var, off) for var, off in exprs)
-            out.append((fam, exprs, exp))
-        return TemplateWord(out)
+        for letter in self.letters:
+            new = moved.get(letter)
+            if new is None:
+                fam, exprs, exp = letter
+                exprs = tuple((var, off + k) if var == "m" else (var, off) for var, off in exprs)
+                new = moved[letter] = (fam, exprs, exp)
+            out.append(new)
+        return TemplateWord._reduced(tuple(out))
 
     def bind(self, **values: int) -> "TemplateWord":
         """Bind some variables to integers, leaving the rest symbolic."""
@@ -365,12 +410,11 @@ class TemplateWord:
         window index (shifted for affine indices, bound for constants).
         A template without such a letter is returned as it is.
         """
-        want = tuple((None, v) for v in fixed)
-        for fam, exprs, _ in replacement.letters:
-            if fam == family and exprs[1:] == want:
-                raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
-        if not any(fam == family and exprs[1:] == want for fam, exprs, _ in self.letters):
+        if (family, fixed) in replacement.blocks():
+            raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
+        if (family, fixed) not in self.blocks():
             return self
+        want = tuple((None, v) for v in fixed)
         rep_inv = replacement.inverse()
         out: list[TLetter] = []
         for fam, exprs, exp in self.letters:
@@ -464,10 +508,20 @@ def parse_word(text: str) -> Word:
 
 
 def print_template(t: TemplateWord) -> str:
-    if not t.letters:
+    """The text of a template, printed once and then kept with it."""
+    try:
+        return t._text
+    except AttributeError:
+        text = _print_letters(t.letters)
+        object.__setattr__(t, "_text", text)
+        return text
+
+
+def _print_letters(letters: tuple) -> str:
+    if not letters:
         return "1"
     toks = []
-    for fam, exprs, exp in t.letters:
+    for fam, exprs, exp in letters:
         if fam == "sigma":
             body = "s%s" % _expr_str(exprs[0])
         elif fam == "rho":

@@ -513,6 +513,31 @@ def test_script_truncation_agreement():
     assert step["before"] == step["after"] == {"torsion": [], "free_rank": 0}
 
 
+def test_script_truncation_builds_each_presentations_rows_once(monkeypatch):
+    res = run_script("WBN_REDUCE", 8)
+    steps = [(i, rec) for i, (rec, _) in enumerate(res.steps) if rec["op"] not in ("seeds", "observe")]
+    eliminations = sum(rec["op"] == "eliminate" for _, rec in steps)
+    assert (len(steps), eliminations) == (16, 8)
+    calls = []
+
+    def counted(p, domains):
+        calls.append(p)
+        return rows(p, domains)
+
+    rows = abelianize._rows
+    monkeypatch.setattr(abelianize, "_rows", counted)
+    out = check_script_truncation(res, ((-3, 3),))
+    # one build per step for the after side; the before side is the last
+    # step's after side, except where an elimination trims its domains
+    assert len(calls) == len(steps) + eliminations == 24
+    # each step on its own builds both sides: the same invariants
+    presentations = [res.initial] + [after for _, after in res.steps]
+    for (idx, rec), row in zip(steps, out["steps"]):
+        inv = abelianize.step_invariants(presentations[idx], presentations[idx + 1], rec, (-3, 3))
+        assert (row["step"], row["before"], row["after"]) == (idx, *inv)
+    assert len(calls) == 24 + 2 * len(steps)
+
+
 def test_derived_catalog_invariants_match_reduced():
     # the full catalog and the reduced one present the same group, so the
     # truncated invariants agree wherever both windows instantiate fully

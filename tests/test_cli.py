@@ -313,7 +313,8 @@ STAGE_2_SNAPSHOTS = {
 }
 
 # sha256 of the stdout of the Tietze scripts: every fixed-rank script,
-# one text transcript, and the loop scripts at a rank well past their lowest
+# text transcripts of WB4 and WBN, and the loop scripts at ranks well past
+# their lowest (WBN at n=12 runs a large torsion cleanup)
 STAGE_3_SNAPSHOTS = {
     "tietze --script VB3_REDUCE --format json": "1b032283dec5b9a37618802b8c6e5ef945456eb4b252f94916fe821dca609938",
     "tietze --script WB3_REDUCE --format json": "b82cff29c20633eb737a9724b1c033011dc4ab5248485645a74e80c18d70a5df",
@@ -321,6 +322,8 @@ STAGE_3_SNAPSHOTS = {
     "tietze --script WB4_REDUCE": "0839f5ce5c21bd5a33bf41e4c717fa344fa1583e315c3cb8c7164b88e2e4d25d",
     "tietze --script VBN_REDUCE --n 10 --format json": "3e5387ed64fbb14ea86c86504f519b000d86df4c59e6c8cbb3e89251dfa2208c",
     "tietze --script WBN_REDUCE --n 8 --format json": "bc73c9ac091933ab0412f8a29709bd4cb804f4a823946d759754712ef5ed3b77",
+    "tietze --script WBN_REDUCE --n 8": "4165e7351ac61cf02a3645663918b6cb7dde0b932b76ae62d70fa0c9986d4170",
+    "tietze --script WBN_REDUCE --n 12 --format json": "8075e05c49ff4fc30424866f5863f56d6c16c31e390efd5744e4885e7bc5c24e",
 }
 
 

@@ -7,6 +7,8 @@ witness relators; the five scripted chains must land on the reference
 presentations and generator counts.
 """
 
+import dataclasses
+
 import pytest
 
 from braidsub import tietze
@@ -300,6 +302,105 @@ def test_torsion_cleanup_keeps_witnesses():
     # the duplicate names the relator it repeats, as drop_relator would
     (drop,) = [sub for sub in rec["sub"] if sub["op"] == "drop"]
     assert drop == {"op": "drop", "label": "s-inverse", "kept": "s", "text": "drop s-inverse (duplicate of s)"}
+
+
+def _torsion_cleanup_per_relator(p):
+    """torsion_cleanup relator by relator: torsion_reduce_relator on each
+    relator but the witnesses, each licence check scanning the presentation
+    as it stands, then one _drop per trivial or duplicate relator."""
+    witness_keys = {template_canon_key(tietze._F_CUBE)} | {
+        template_canon_key(tietze._g_square(gen.fixed[0], 0)) for gen in p.generators if gen.family == "g"
+    }
+    records = []
+    for inst in list(p.relators):
+        if template_canon_key(inst.template) in witness_keys:
+            continue
+        p, rec = torsion_reduce_relator(p, inst.label)
+        records.append(rec)
+    drops = []
+    seen = {}
+    for inst in p.relators:
+        if not inst.template:
+            drops.append((inst.label, "trivial", None))
+            continue
+        key = template_canon_key(inst.template)
+        if key in seen:
+            drops.append((inst.label, "duplicate", seen[key]))
+        else:
+            seen[key] = inst.label
+    for label, reason, kept in drops:
+        p, rec = tietze._drop(p, label, reason, kept)
+        records.append(rec)
+    text = "torsion cleanup: %d families dropped" % len(drops)
+    return p, {"op": "row", "label": None, "text": text, "sub": records}
+
+
+def _before_cleanup(name, n=None):
+    res = run_script(name, n)
+    (idx,) = [i for i, (rec, _) in enumerate(res.steps) if rec["text"].startswith("torsion cleanup")]
+    return res.steps[idx - 1][1], res.steps[idx]
+
+
+def test_torsion_cleanup_matches_the_per_relator_route():
+    texts = []
+    for name, n in [("WB4_REDUCE", None)] + [("WBN_REDUCE", n) for n in range(5, 11)]:
+        p, (record, after) = _before_cleanup(name, n)
+        slow = _torsion_cleanup_per_relator(p)
+        assert torsion_cleanup(p) == slow == (after, record), (name, n)
+        texts += [sub["text"] for sub in record["sub"]]
+    # the ranks exercise real merges and duplicate drops; the licence test
+    # below drops a trivial relator
+    assert any(t.startswith("torsion merge") and not t.endswith("no change") for t in texts)
+    assert any("(duplicate of " in t for t in texts)
+
+
+def _raised(fn, p):
+    with pytest.raises(ScriptPreconditionFailed) as info:
+        fn(p)
+    return str(info.value)
+
+
+def test_torsion_cleanup_without_f_cube_fails_as_the_per_relator_route():
+    p, _ = _before_cleanup("WB4_REDUCE")
+    rels = tuple(inst for inst in p.relators if inst.template != tietze._F_CUBE)
+    assert len(rels) == len(p.relators) - 1
+    p = dataclasses.replace(p, relators=rels)
+    message = _raised(_torsion_cleanup_per_relator, p)
+    assert message == "presentation has no relator family matching f(m,0) f(m,0) f(m,0)"
+    assert _raised(torsion_cleanup, p) == message
+
+
+def _relators(p, *texts):
+    rels = tuple(FamilyInstance("r%d" % i, parse_template(t)) for i, t in enumerate(texts))
+    return dataclasses.replace(p, relators=rels)
+
+
+def test_torsion_cleanup_licences_follow_earlier_merges(monkeypatch):
+    routes = (torsion_cleanup, _torsion_cleanup_per_relator)
+    p = Presentation("wb", 4, (GeneratorFamily("a"), GeneratorFamily("f", (0,))), ())
+    # a g square outside the generator blocks is no witness: it merges
+    # away, and a later merge it licensed before then fails
+    square, needs = "g(m,5) g(m,5)", "g(m,5) g(m,5) g(m,5) a(m)"
+    for route in routes:
+        assert _raised(route, _relators(p, square, needs)) == (
+            "presentation has no relator family matching g(m,5) g(m,5)")
+    licensed = [route(_relators(p, needs, square)) for route in routes]
+    assert licensed[0] == licensed[1]
+    assert [print_template(i.template) for i in licensed[0][0].relators] == ["g(m,5) a(m)"]
+    assert licensed[0][1]["sub"][-1]["text"] == "drop r1 (trivial)"
+    # torsion_merge never makes a witness, so a stand-in merge turns one
+    # relator into the f cube; it then licenses a later f merge
+    real = tietze.torsion_merge
+    cube = tietze._F_CUBE.letters
+    monkeypatch.setattr(
+        tietze, "torsion_merge", lambda letters: cube if letters == parse_template("a(m) a(m)").letters else real(letters)
+    )
+    for route in routes:
+        assert _raised(route, _relators(p, "f(m,0) f(m,0) a(m)", "a(m) a(m)")) == (
+            "presentation has no relator family matching f(m,0) f(m,0) f(m,0)")
+    merged = [route(_relators(p, "a(m) a(m)", "f(m,0) f(m,0) a(m)")) for route in routes]
+    assert merged[0] == merged[1]
+    assert [print_template(i.template) for i in merged[0][0].relators] == ["f(m,0) f(m,0) f(m,0)", "f(m,0)^-1 a(m)"]
 
 
 def test_flip_g_letter_precondition():

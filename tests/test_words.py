@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from braidsub.errors import CyclicSubstitution, ParametricInput, ParseError
 from braidsub.words import (
     Symbol,
+    TemplateWord,
     Word,
+    _print_letters,
     a,
     b,
     c,
@@ -223,3 +225,55 @@ def test_m_lift_shift_instantiate_commute(letters, k):
 
     w = Word(letters)
     assert m_lift(w).shift(k).instantiate(m=0) == w.shift(k)
+
+
+# random templates: affine first slots in m, constants and an auxiliary
+# variable; trailing slots constant, auxiliary or (rarely used) m
+SLOT0 = [("m", -1), ("m", 0), ("m", 2), (None, 0), (None, 3), ("i", 1)]
+TAIL = [(None, 0), (None, 1), (None, 3), ("j", 0), ("m", 1)]
+signs_st = st.sampled_from([-1, 1])
+tletter_st = st.one_of(
+    st.tuples(st.sampled_from(["a", "c"]), st.tuples(st.sampled_from(SLOT0)), signs_st),
+    st.tuples(
+        st.sampled_from(["b", "f", "g"]),
+        st.tuples(st.sampled_from(SLOT0), st.sampled_from(TAIL)),
+        signs_st,
+    ),
+    st.tuples(st.just("sigma"), st.tuples(st.sampled_from([(None, 1), (None, 2)])), signs_st),
+)
+templates_st = st.lists(tletter_st, max_size=30).map(TemplateWord)
+
+
+@given(templates_st, st.integers(min_value=-3, max_value=3))
+def test_template_caches_match_uncached_oracles(t, k):
+    # the text is printed once and kept; it matches the uncached printer
+    # and parses back to the template
+    text = _print_letters(t.letters)
+    assert print_template(t) == text
+    assert print_template(t) == text
+    assert parse_template(text) == t
+    assert hash(t) == hash(t.letters) == hash(TemplateWord(t.letters))
+    # the block set against a scan of the letters, both ways
+    blocks = t.blocks()
+    for fam, exprs, _ in t.letters:
+        if all(var is None for var, _ in exprs[1:]):
+            assert (fam, tuple(v for _, v in exprs[1:])) in blocks
+    for family, fixed in blocks:
+        want = tuple((None, v) for v in fixed)
+        assert any(fam == family and exprs[1:] == want for fam, exprs, _ in t.letters)
+    # shift and inverse skip free reduction: their letters are reduced
+    # already, and shift moves exactly the m slots
+    moved, inv = t.shift(k), t.inverse()
+    assert moved.letters == TemplateWord(moved.letters).letters
+    assert inv.letters == TemplateWord(inv.letters).letters
+    assert moved.letters == tuple(
+        (fam, tuple((var, off + k) if var == "m" else (var, off) for var, off in exprs), exp)
+        for fam, exprs, exp in t.letters
+    )
+    assert moved.shift(-k) == t and inv.inverse() == t
+    assert moved.blocks() == inv.blocks() == blocks
+    assert hash(moved) == hash(moved.letters) and hash(inv) == hash(inv.letters)
+    for name in ("letters", "_text", "_hash", "_blocks", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, ())
+    assert print_template(t) == text and hash(t) == hash(t.letters)
