@@ -2,11 +2,13 @@
 
 Everything is exact integer arithmetic, no floating point anywhere.  One
 builder turns a parametric presentation into abelianized relator rows:
-`_domains` gives each generator block its index interval over a window
-(the window plus the block's trim), and `_rows` reads from each
-template's letter offsets the interval of m it fits into and writes one
-sparse row per instance, keyed by (family, fixed, index) columns.  The
-sparse core `_invariants` reads the invariants of such rows by unit-pivot
+`Presentation.domains` gives each generator block its index interval
+over a window (the window plus the block's trim), `presets.span` reads
+from each template's letter offsets the interval of m it fits into (the
+window rule that `presets.instantiate` and the catalog comparison read
+too), and `_rows` writes one sparse row per instance, keyed by (family,
+fixed, index) columns.  The sparse core `_invariants` reads the
+invariants of such rows by unit-pivot
 elimination: zero rows and rows equal to another row or its negation are
 dropped, and each +-1 pivot removes one row and one column as one unit
 invariant factor (Havas, Holt and Rees 1993; Havas, Majewski and Matthews
@@ -32,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 from . import presets
 from .errors import EmptyWindow, ShapeMismatch, WindowTooNarrow
 from .presets import FinitePresentation, Presentation
-from .words import TemplateWord, print_template
+from .words import TemplateWord
 
 Matrix = list[list[int]]
 
@@ -261,54 +263,6 @@ def relation_matrix(fp: FinitePresentation) -> tuple[Matrix, list]:
     return rows, cols
 
 
-def _domains(p: Presentation, window: tuple[int, int]) -> dict:
-    """Index interval of each generator block: {(family, fixed): (lo, hi) or None}.
-
-    A windowed block gets the window adjusted by its family's trim (an
-    empty interval has lo > hi); a block without a window index gets None.
-    """
-    lo, hi = window
-    if lo > hi:
-        raise EmptyWindow("window [%d, %d] is empty" % (lo, hi))
-    doms = {}
-    for gen in p.generators:
-        if gen.windowed:
-            dlo, dhi = p.trim_for(gen.family)
-            doms[gen.family, gen.fixed] = (lo + dlo, hi + dhi)
-        else:
-            doms[gen.family, gen.fixed] = None
-    return doms
-
-
-def _width(domains: dict) -> int:
-    return sum(1 if d is None else max(0, d[1] - d[0] + 1) for d in domains.values())
-
-
-def _span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
-    """t's letters as (column prefix, window variable, offset, exponent), and
-    the interval [lo, hi] of m that puts every letter inside its domain.
-
-    lo and hi stay infinite for a window-free template whose constant
-    indices lie in their domains.  A letter of no declared block raises.
-    """
-    letters, lo, hi = [], -math.inf, math.inf
-    for fam, exprs, exp in t.letters:
-        (var, off), fixed = exprs[0], tuple(v for _, v in exprs[1:])
-        if var is None and domains.get((fam, (off,) + fixed), ()) is None:
-            letters.append(((fam, (off,) + fixed), None, None, exp))
-            continue
-        dom = domains.get((fam, fixed))
-        if dom is None:
-            raise ShapeMismatch("relator letter %s is in no declared generator block"
-                                % print_template(TemplateWord(((fam, exprs, exp),))))
-        letters.append(((fam, fixed), var, off, exp))
-        if var is not None:
-            lo, hi = max(lo, dom[0] - off), min(hi, dom[1] - off)
-        elif not dom[0] <= off <= dom[1]:
-            lo, hi = max(lo, 1), min(hi, 0)
-    return letters, lo, hi
-
-
 def _rows(p: Presentation, domains: dict) -> dict:
     """Abelianized relator instances: {(label, m): {(family, fixed, index): exponent}}.
 
@@ -318,7 +272,7 @@ def _rows(p: Presentation, domains: dict) -> dict:
     """
     rows = {}
     for inst in p.relators:
-        letters, lo, hi = _span(inst.template, domains)
+        letters, lo, hi = presets.span(inst.template, domains)
         for m in [None] if lo == -math.inf else range(lo, hi + 1):
             row: dict = {}
             for prefix, var, off, exp in letters:
@@ -336,7 +290,7 @@ def abelianization(p: Presentation, window: Optional[tuple[int, int]] = None) ->
     """
     if window is None:
         raise EmptyWindow("a parametric presentation needs a window")
-    domains = _domains(p, window)
+    domains = p.domains(window)
     rows = _rows(p, domains)
     present = {label for label, _ in rows}
     for inst in p.relators:
@@ -345,7 +299,7 @@ def abelianization(p: Presentation, window: Optional[tuple[int, int]] = None) ->
                 "window [%d, %d] instantiates no %s relator"
                 % (window[0], window[1], inst.label)
             )
-    cols = _width(domains)
+    cols = presets.width(domains)
     inv = _invariants(rows.values(), cols)
     return {
         "torsion": inv["torsion"],
@@ -465,10 +419,10 @@ def step_invariants(
     intermediate presentation once, not once as the after side of a step
     and again as the before side of the next.
     """
-    doms_b, doms_a = _domains(before, window), _domains(after, window)
+    doms_b, doms_a = before.domains(window), after.domains(window)
     if record["op"] == "eliminate":
         key = (record["family"], tuple(record["fixed"]))
-        _, lo, hi = _span(record["replacement"], doms_a)
+        _, lo, hi = presets.span(record["replacement"], doms_a)
         doms_b[key] = (max(doms_b[key][0], lo), min(doms_b[key][1], hi))
     if carry is None:
         carry = {}
@@ -482,8 +436,8 @@ def step_invariants(
     labels_a = {inst.label for inst in after.relators}
     kept = [k for k in rows_b if k in rows_a or k[0] not in labels_a]
     return (
-        _invariants([rows_b[k] for k in kept], _width(doms_b)),
-        _invariants([rows_a[k] for k in kept if k in rows_a], _width(doms_a)),
+        _invariants([rows_b[k] for k in kept], presets.width(doms_b)),
+        _invariants([rows_a[k] for k in kept if k in rows_a], presets.width(doms_a)),
     )
 
 

@@ -14,7 +14,12 @@ This module holds the group-level data used everywhere else:
   the f and a families, which every substitution of them reads;
 * the :class:`Presentation` container for parametric presentations (a
   finite list of relator templates in the window variable ``m``) with
-  window instantiation, generator accounting, and a plain-text format.
+  window instantiation, generator accounting, and a plain-text format;
+* the window rule: ``Presentation.domains`` gives each generator block
+  its index interval over a window (the window plus the block's trim)
+  and ``span`` the interval of m at which a template's letters all lie
+  in their blocks.  ``instantiate``, the abelianizer's row builder and
+  the catalog comparison all keep the instances this rule keeps.
 
 Strand conventions: braid letters ``s1 .. s(n-1)``, symmetric letters
 ``r1 .. r(n-1)``.  Derived families: ``a(m)``, ``b(m,e)``, ``c(l)``,
@@ -25,14 +30,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import BadRank, EmptyWindow, ParseError
+from .errors import BadRank, EmptyWindow, ParseError, ShapeMismatch
 from .words import (
     Symbol,
     TemplateWord,
-    Word,
     parse_template,
     print_template,
     print_word,
@@ -368,6 +373,24 @@ class Presentation:
                 return d
         return (0, 0)
 
+    def domains(self, window: tuple[int, int]) -> dict:
+        """Index interval of each generator block: {(family, fixed): (lo, hi) or None}.
+
+        A windowed block gets the window adjusted by its family's trim (an
+        empty interval has lo > hi); a block without a window index gets None.
+        """
+        lo, hi = window
+        if lo > hi:
+            raise EmptyWindow("window [%d, %d] is empty" % (lo, hi))
+        doms = {}
+        for gen in self.generators:
+            if gen.windowed:
+                dlo, dhi = self.trim_for(gen.family)
+                doms[gen.family, gen.fixed] = (lo + dlo, hi + dhi)
+            else:
+                doms[gen.family, gen.fixed] = None
+        return doms
+
 
 @dataclass(frozen=True)
 class GeneratorSummary:
@@ -392,53 +415,65 @@ def generator_count(p: Presentation) -> GeneratorSummary:
     return GeneratorSummary(True, len(names), tuple(sorted(names)), ())
 
 
+def width(domains: dict) -> int:
+    """The number of generators the block domains hold."""
+    return sum(1 if d is None else max(0, d[1] - d[0] + 1) for d in domains.values())
+
+
+def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
+    """t's letters as (column prefix, window variable, offset, exponent), and
+    the interval [lo, hi] of m that puts every letter inside its domain.
+
+    This is the one window rule: every reader of a presentation over a
+    window keeps the instances of t at exactly these m.  lo and hi stay
+    infinite for a window-free template whose constant indices lie in
+    their domains.  A letter of no declared block raises ShapeMismatch.
+    """
+    letters, lo, hi = [], -math.inf, math.inf
+    for fam, exprs, exp in t.letters:
+        (var, off), fixed = exprs[0], tuple(v for _, v in exprs[1:])
+        if var is None and domains.get((fam, (off,) + fixed), ()) is None:
+            letters.append(((fam, (off,) + fixed), None, None, exp))
+            continue
+        dom = domains.get((fam, fixed))
+        if dom is None:
+            raise ShapeMismatch("relator letter %s is in no declared generator block"
+                                % print_template(TemplateWord(((fam, exprs, exp),))))
+        letters.append(((fam, fixed), var, off, exp))
+        if var is not None:
+            lo, hi = max(lo, dom[0] - off), min(hi, dom[1] - off)
+        elif not dom[0] <= off <= dom[1]:
+            lo, hi = max(lo, 1), min(hi, 0)
+    return letters, lo, hi
+
+
 def instantiate(p: Presentation, window: tuple[int, int]) -> FinitePresentation:
     """Spell out a parametric presentation over an integer window.
 
     Only the window indices are constrained: a relator instance is kept
     when the window index of every windowed letter lies inside the domain
     of that letter's generator block (the window, adjusted by the block
-    family's trim).  Strand indices are untouched.  Instances of
-    window-free templates are always kept.
+    family's trim), as ``span`` reads it.  Strand indices are untouched.
+    A window-free template has one instance, kept when its constant
+    window indices lie in their domains.  A relator letter of no declared
+    generator block raises ShapeMismatch.
     """
-    lo, hi = window
-    if lo > hi:
-        raise EmptyWindow("window [%d, %d] is empty" % (lo, hi))
-
-    def domain(family: str) -> tuple[int, int]:
-        dlo, dhi = p.trim_for(family)
-        return (lo + dlo, hi + dhi)
-
+    domains = p.domains(window)
     gens: list[Symbol] = []
     for gen in p.generators:
-        if gen.windowed:
-            dlo, dhi = domain(gen.family)
-            for m in range(dlo, dhi + 1):
-                gens.append(Symbol(gen.family, (m,) + gen.fixed))
-        else:
+        dom = domains[gen.family, gen.fixed]
+        if dom is None:
             gens.append(Symbol(gen.family, gen.fixed))
-
-    def in_domain(w: Word) -> bool:
-        for sym, _ in w:
-            if sym.family in ("a", "b", "f", "g"):
-                dlo, dhi = domain(sym.family)
-                if not dlo <= sym.indices[0] <= dhi:
-                    return False
-        return True
-
+        else:
+            gens.extend(Symbol(gen.family, (m,) + gen.fixed) for m in range(dom[0], dom[1] + 1))
     rels: list = []
     for inst in p.relators:
-        if inst.windowed():
-            offs = inst.template.m_offsets()
-            span_lo, span_hi = min(offs), max(offs)
-            for m in range(lo - span_hi, hi - span_lo + 1):
-                w = inst.template.instantiate(m=m)
-                if in_domain(w):
-                    rels.append(("%s@%d" % (inst.label, m), w))
+        _, lo, hi = span(inst.template, domains)
+        if lo == -math.inf:
+            rels.append((inst.label, inst.template.instantiate()))
         else:
-            w = inst.template.instantiate()
-            if in_domain(w):
-                rels.append((inst.label, w))
+            for m in range(lo, hi + 1):
+                rels.append(("%s@%d" % (inst.label, m), inst.template.instantiate(m=m)))
     return FinitePresentation(tuple(gens), tuple(rels))
 
 

@@ -7,12 +7,20 @@ twist by the first symmetric letter, the two independent derivation
 routes for ambient relators, canonical forms for comparing relator
 spellings, the statement verifier, and the mechanical assembly of the
 derived relator catalog.
+
+Relators are compared the way the Tietze scripts and the abelianizer
+see them: as templates.  Tier (c) of the statement comparison spells
+both words through the catalog with ``TemplateWord.substitute_family``,
+merges their torsion and compares ``template_canon_key``; the catalog
+comparison keeps the instances ``presets.span`` keeps and keys each
+template once with ``template_canon_key``.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+import math
+from typing import Iterable
 
 from . import presets
 from .cosets import (
@@ -25,7 +33,7 @@ from .cosets import (
     schreier_generator,
     step,
 )
-from .errors import EmptyWindow, NotConverged, NotInKernel, ParseError, ShapeMismatch
+from .errors import NotConverged, NotInKernel, ParseError, ShapeMismatch
 from .words import (
     _FAMILY_RANK,
     M_FAMILIES,
@@ -240,15 +248,10 @@ def template_canon_key(t: TemplateWord) -> tuple:
     offs = t.m_offsets()
     if offs:
         t = t.shift(-min(offs))
-    letters = t.letters
-    # cyclic reduction at the template level
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i][:2] == letters[j - 1][:2] and letters[i][2] == -letters[j - 1][2]:
-        i += 1
-        j -= 1
-    if i == j:
+    letters = t.cyclic_reduce().letters
+    if not letters:
         return ()
-    return _cyclic_key(tuple(_tletter_key(l) for l in letters[i:j]))
+    return _cyclic_key(tuple(_tletter_key(l) for l in letters))
 
 
 # ---------------------------------------------------------------------------
@@ -256,68 +259,60 @@ def template_canon_key(t: TemplateWord) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def catalog_substitutions(w: Word, group: str) -> Word:
+def catalog_substitutions(t: TemplateWord, group: str) -> TemplateWord:
     """Rewrite b letters, second-bit f letters and (welded) a letters
     through their catalog spellings (``presets.SPELLINGS``) in the f and
     a families.
 
-    Runs until nothing changes, which takes at most three passes: b and
-    second-bit f letters become f(m,0) and a letters, welded a letters
-    become f(m,0) letters, and f(m,0) letters stay.
+    One pass over the spelling table, in table order, does it: every
+    spelling yields only f(m,0) and a letters, and the welded a entry
+    comes after the b entries whose spellings bring a letters in.
     """
     table = presets.WELDED_SPELLINGS if group == "wb" else presets.SPELLINGS
-    while True:
-        out = []
-        changed = False
-        for sym, exp in w:
-            spelling = table.get((sym.family, sym.indices[1:]))
-            if spelling is None:
-                out.append((sym, exp))
-            else:
-                changed = True
-                rep = spelling.instantiate(m=sym.indices[0])
-                out.extend(rep.letters if exp == 1 else rep.inverse().letters)
-        if not changed:
-            return w
-        w = Word(out)
+    for (family, fixed), spelling in table.items():
+        t = t.substitute_family(family, fixed, spelling)
+    return t
 
 
 _TORSION_ORDER = {"f": 3, "g": 2}
 
 
 def torsion_merge(letters: tuple) -> tuple:
-    """Merge runs of one template letter until nothing changes: f letters
-    count modulo three (a residue of two becoming one inverse letter), g
-    letters modulo two, other letters are only freely reduced."""
-    while True:
-        out: list = []
-        i = 0
-        while i < len(letters):
-            key = letters[i][:2]
-            total = 0
-            while i < len(letters) and letters[i][:2] == key:
-                total += letters[i][2]
-                i += 1
-            order = _TORSION_ORDER.get(key[0])
-            if order is not None:
-                total %= order
-                if order == 3 and total == 2:
-                    total = -1
-            out.extend([key + (1 if total > 0 else -1,)] * abs(total))
-        merged = tuple(out)
-        if merged == letters:
-            return merged
-        letters = merged
+    """Merge runs of one template letter: f letters count modulo three (a
+    residue of two becoming one inverse letter), g letters modulo two,
+    other letters are only freely reduced.
+
+    One pass over a stack of (letter, exponent total) runs: a run whose
+    total comes to nothing goes, so its neighbours meet and merge in turn.
+    Every total is brought into its residue range as it is pushed, so a
+    lone g(m,3)^-1 comes out as g(m,3).
+    """
+    runs: list = []
+    for fam, exprs, exp in letters:
+        key = (fam, exprs)
+        if runs and runs[-1][0] == key:
+            exp += runs.pop()[1]
+        order = _TORSION_ORDER.get(fam)
+        if order is not None:
+            exp %= order
+            if order == 3 and exp == 2:
+                exp = -1
+        if exp:
+            runs.append((key, exp))
+    out: list = []
+    for key, total in runs:
+        out.extend([key + (1 if total > 0 else -1,)] * abs(total))
+    return tuple(out)
 
 
-def torsion_normalize(w: Word) -> Word:
+def torsion_normalize(t: TemplateWord) -> TemplateWord:
     """Cyclic normal form with f letters of order three, g letters of
     order two.  The result is only meant for cyclic comparison.
 
     Every rotation that does not end the loop shortens the word, so the
     loop ends within len + 1 rounds; NotConverged guards that bound.
     """
-    letters = lift(w).letters
+    letters = t.letters
     for _ in range(len(letters) + 1):
         letters = torsion_merge(letters)
         if len(letters) < 2 or letters[0][:2] != letters[-1][:2]:
@@ -330,19 +325,22 @@ def torsion_normalize(w: Word) -> Word:
             break
         letters = letters[-k:] + letters[:-k]
     else:
-        raise NotConverged("torsion normal form of %s did not settle" % print_word(w))
-    return TemplateWord(letters).instantiate()
+        raise NotConverged("torsion normal form of %s did not settle" % print_template(t))
+    return TemplateWord(letters)
 
 
 def compare_words(engine: Word, stated: Word, group: str) -> tuple[str, str]:
-    """Three-tier comparison; returns (tier, verdict)."""
+    """Three-tier comparison; returns (tier, verdict).
+
+    Tier (c) lifts both words to constant templates, spells them through
+    the catalog, merges their torsion and compares template keys.
+    """
     if engine == stated:
         return ("a", "exact")
     if canon_equal(engine, stated):
         return ("b", "equal-after-normalization")
-    e = torsion_normalize(catalog_substitutions(engine, group))
-    s = torsion_normalize(catalog_substitutions(stated, group))
-    if canon_equal(e, s):
+    e, s = (torsion_normalize(catalog_substitutions(lift(w), group)) for w in (engine, stated))
+    if template_canon_key(e) == template_canon_key(s):
         return ("c", "equal-after-normalization")
     return ("", "MISMATCH")
 
@@ -633,51 +631,33 @@ def assemble(group: str, n: int) -> presets.Presentation:
     return presets.Presentation(group, n, presets.derived_generators(n), tuple(seen.values()))
 
 
-def _window_key(key: tuple) -> tuple[tuple, Optional[int]]:
-    """Split a ``canon_key`` into the key with its window indices shifted
-    to start at 0 and the least window index (None if it has none).
-
-    A uniform shift of the window index keeps the letter order of the key,
-    so the key of ``w.shift(m)`` splits into the same key and index + m.
-    """
-    low = min((idx[0] for _, fam, idx, _ in key if fam in M_FAMILIES), default=None)
-    if low is None:
-        return key, None
-    return tuple(
-        (rank, fam, (idx[0] - low,) + idx[1:], exp) if fam in M_FAMILIES else (rank, fam, idx, exp)
-        for rank, fam, idx, exp in key
-    ), low
-
-
 def _instance_keys(p: presets.Presentation, window: tuple[int, int]) -> dict:
-    """{(window key, position): labels} of the instances ``presets.instantiate``
-    keeps over the window, keying each relator template once, at m=0.
+    """{(template key, position): labels} of the instances ``presets.instantiate``
+    keeps over the window, keying each relator template once.
 
-    The instance at m sits at position (least window index) + m.  The
-    m-interval is the one ``instantiate`` keeps: every window index inside
-    its family's domain, the window plus the family's trim; a window-free
-    template has the one instance m=0.  A windowed template whose
-    instances are not shifts of each other raises ShapeMismatch.
+    ``presets.span`` gives the m-interval of every template.  A template
+    is keyed by ``template_canon_key`` of its cyclic core, and its instance
+    at m sits at position (least window offset of the core) + m.  A
+    window-free template has the one instance m=0; ``m_lift`` turns its
+    constant window indices into offsets, so that it keys like the
+    windowed instance it spells.  A windowed template whose instances are
+    not shifts of each other raises ShapeMismatch.
     """
-    lo, hi = window
-    if lo > hi:
-        raise EmptyWindow("window [%d, %d] is empty" % (lo, hi))
+    domains = p.domains(window)
     keys: dict[tuple, list[str]] = {}
     for inst in p.relators:
-        t, windowed = inst.template, inst.windowed()
-        mlo = mhi = 0
-        if windowed:
-            _check_shifts_with_m(inst.label, t)
-            offs = t.m_offsets()
-            mlo, mhi = lo - max(offs), hi - min(offs)
-        for fam, exprs, _ in t.letters:
-            if fam in M_FAMILIES:
-                dlo, dhi = p.trim_for(fam)
-                mlo, mhi = max(mlo, lo + dlo - exprs[0][1]), min(mhi, hi + dhi - exprs[0][1])
-        key, low = _window_key(canon_key(t.instantiate(m=0)))
-        for m in range(mlo, mhi + 1):
-            label = "%s@%d" % (inst.label, m) if windowed else inst.label
-            keys.setdefault((key, None if low is None else low + m), []).append(label)
+        if inst.windowed():
+            _check_shifts_with_m(inst.label, inst.template)
+            _, lo, hi = presets.span(inst.template, domains)
+            core = inst.template.cyclic_reduce()
+            found = [("%s@%d" % (inst.label, m), m) for m in range(lo, hi + 1)]
+        else:
+            _, lo, _ = presets.span(inst.template, domains)
+            core = m_lift(inst.template.instantiate()).cyclic_reduce()
+            found = [(inst.label, 0)] if lo == -math.inf else []
+        key, offs = template_canon_key(core), core.m_offsets()
+        for label, m in found:
+            keys.setdefault((key, min(offs) + m if offs else None), []).append(label)
     return keys
 
 

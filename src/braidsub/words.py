@@ -192,26 +192,6 @@ class Word:
                 total += exp
         return total
 
-    def symbols(self) -> set[Symbol]:
-        return {sym for sym, _ in self.letters}
-
-    def substitute(self, target: Symbol, replacement: "Word") -> "Word":
-        """Replace every occurrence of ``target`` (both signs) by ``replacement``.
-
-        Raises CyclicSubstitution when the replacement itself mentions the
-        target symbol.
-        """
-        if target in replacement.symbols():
-            raise CyclicSubstitution("replacement for %s mentions %s" % (target, target))
-        inv = replacement.inverse()
-        out: list[Letter] = []
-        for sym, exp in self.letters:
-            if sym == target:
-                out.extend(replacement.letters if exp == 1 else inv.letters)
-            else:
-                out.append((sym, exp))
-        return Word(out)
-
     def shift(self, k: int) -> "Word":
         """Add ``k`` to the window index of every a/b/f/g letter."""
         out = []
@@ -394,6 +374,16 @@ class TemplateWord:
             idx = tuple(off if var is None else values[var] + off for var, off in exprs)
             out.append((Symbol(fam, idx), exp))
         return Word(out)
+
+    def cyclic_reduce(self) -> "TemplateWord":
+        """Strip inverse letter pairs off the two ends; a template without
+        such a pair is returned as it is."""
+        letters = self.letters
+        i, j = 0, len(letters)
+        while j - i >= 2 and letters[i][:2] == letters[j - 1][:2] and letters[i][2] == -letters[j - 1][2]:
+            i += 1
+            j -= 1
+        return self if i == 0 else TemplateWord._reduced(letters[i:j])
 
     def rotate(self, k: int) -> "TemplateWord":
         n = len(self.letters)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsub import abelianize
+from braidsub import abelianize, presets, rewriting
 from braidsub.abelianize import (
     abelian_invariants,
     abelianization,
@@ -45,6 +45,7 @@ from braidsub.presets import (
     Presentation,
     derived_presentation,
     instantiate,
+    parse_presentation,
     reduced_presentation,
     vb3_final_presentation,
     wb3_final_presentation,
@@ -338,14 +339,24 @@ def builder_cases():
     yield vb3_final_presentation()
     yield wb3_final_presentation()  # trimmed a block
     yield wb4_final_presentation()
+    yield WIDENED_SQUARE
+
+
+# A trim that widens its block: the a(m) letter fits the domain [lo-1, hi+1]
+# at two more m than the window itself holds.
+WIDENED_SQUARE = parse_presentation(
+    "group: vb\nn: 3\ngenerators:\n  a(m) for m in Z\ntrim: a -1 +1\nrelators:\n  # square\n  a(m) a(m)\n"
+)
 
 
 def test_template_builder_matches_instantiate():
-    # oracle: Words spelled out by instantiate, then the dense relation matrix
+    # oracle: Words spelled out by instantiate, then the dense relation matrix;
+    # the catalog comparison keys the very instances instantiate spells
     for p in builder_cases():
         for window in ((-2, 2), (-4, 4), (-8, 8), (-3, 5)):
-            matrix, gens = relation_matrix(instantiate(p, window))
-            domains = abelianize._domains(p, window)
+            fp = instantiate(p, window)
+            matrix, gens = relation_matrix(fp)
+            domains = p.domains(window)
             rows = abelianize._rows(p, domains)
             built = Counter(
                 frozenset((Symbol(fam, fixed if m is None else (m,) + fixed), e)
@@ -357,10 +368,20 @@ def test_template_builder_matches_instantiate():
             )
             case = (p.group, p.n, window)
             assert built == spelled, case
-            assert abelianize._width(domains) == len(gens), case
+            assert presets.width(domains) == len(gens), case
             assert len(rows) == len(matrix), case
+            keyed = [label for labels in rewriting._instance_keys(p, window).values() for label in labels]
+            assert sorted(keyed) == sorted(label for label, _ in fp.relators), case
     with pytest.raises(EmptyWindow):
         abelianization(vb3_final_presentation(), (2, -2))
+    # every reader keeps the seven instances m = -3..3 of the widened square
+    fp = instantiate(WIDENED_SQUARE, (-2, 2))
+    assert [label for label, _ in fp.relators] == ["square@%d" % m for m in range(-3, 4)]
+    matrix, gens = relation_matrix(fp)
+    flat = invariants(matrix, len(gens))
+    assert flat == {"torsion": [2] * 7, "free_rank": 0}
+    out = abelianization(WIDENED_SQUARE, (-2, 2))
+    assert (out["torsion"], out["free_rank"], out["relator_instances"]) == ([2] * 7, 0, 7)
 
 
 def test_abelianization_window_handling():

@@ -11,7 +11,7 @@ plus the property that the two independent derivation routes agree.
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from braidsub import presets, rewriting
@@ -47,6 +47,7 @@ from braidsub.rewriting import (
     rewrite_slots,
     rho1_rule,
     template_canon_key,
+    torsion_merge,
     torsion_normalize,
     twist,
     verify_lemma,
@@ -398,17 +399,15 @@ def test_compare_words_tiers():
 
 
 def test_torsion_normalize():
-    assert torsion_normalize(parse_word("g(0,3) g(0,3)")) == Word()
-    assert torsion_normalize(parse_word("f(0,0) f(0,0)")) == parse_word("f(0,0)^-1")
-    assert canon_equal(
-        torsion_normalize(parse_word("f(0,0) a(0) f(0,0) f(0,0)")),
-        parse_word("a(0)"),
+    assert torsion_normalize(parse_template("g(0,3) g(0,3)")) == TemplateWord()
+    assert torsion_normalize(parse_template("f(0,0) f(0,0)")) == parse_template("f(0,0)^-1")
+    assert template_canon_key(torsion_normalize(parse_template("f(0,0) a(0) f(0,0) f(0,0)"))) == (
+        template_canon_key(parse_template("a(0)"))
     )
     # one merge serves both the word comparison and the Tietze step
     text = "a(m) f(m,0) f(m,0) g(m,3) g(m,3) b(m,0)"
     merged = "a(m) f(m,0)^-1 b(m,0)"
-    w = parse_template(text).instantiate(m=0)
-    assert torsion_normalize(w) == parse_template(merged).instantiate(m=0)
+    assert torsion_normalize(parse_template(text)) == parse_template(merged)
     p = Presentation(
         "vb",
         4,
@@ -427,19 +426,142 @@ def test_torsion_normalize_raises_when_the_cap_runs_out(monkeypatch):
     # A merge that grows the word never settles; the bound must show it.
     monkeypatch.setattr(rewriting, "torsion_merge", lambda letters: letters + letters[:1])
     with pytest.raises(NotConverged):
-        torsion_normalize(parse_word("a(0) f(0,0)"))
+        torsion_normalize(parse_template("a(0) f(0,0)"))
+
+
+def _spelled(text, group):
+    return catalog_substitutions(parse_template(text), group)
 
 
 def test_catalog_substitutions():
-    # b(0,1) -> f(0,0) a(0) f(1,0)^-1 -> (welded a) f(0,0) f(0,0), then a
-    # third pass sees nothing left to rewrite.
-    assert catalog_substitutions(parse_word("b(0,1)"), "wb") == parse_word("f(0,0) f(0,0)")
-    out = catalog_substitutions(parse_word("b(0,0)"), "vb")
-    assert out == parse_word("f(0,0)^-1 f(1,0)")
-    out = catalog_substitutions(parse_word("b(2,1)^-1"), "vb")
-    assert out == parse_word("f(3,0) a(2)^-1 f(2,0)^-1")
-    assert catalog_substitutions(parse_word("a(0)"), "vb") == parse_word("a(0)")
-    assert catalog_substitutions(parse_word("a(0)"), "wb") == parse_word("f(0,0) f(1,0)")
+    # b(0,1) -> f(0,0) a(0) f(1,0)^-1, then the welded a entry, later in
+    # the table, spells a(0) as f(0,0) f(1,0)
+    assert _spelled("b(0,1)", "wb") == parse_template("f(0,0) f(0,0)")
+    assert _spelled("b(0,0)", "vb") == parse_template("f(0,0)^-1 f(1,0)")
+    assert _spelled("b(2,1)^-1", "vb") == parse_template("f(3,0) a(2)^-1 f(2,0)^-1")
+    assert _spelled("a(0)", "vb") == parse_template("a(0)")
+    assert _spelled("a(0)", "wb") == parse_template("f(0,0) f(1,0)")
+    # window-relative letters are spelled at their own offsets
+    assert _spelled("b(m+2,1)^-1 f(m,1)", "vb") == parse_template("f(m+3,0) a(m+2)^-1 f(m+2,0)^-1 f(m,0)^-1")
+
+
+def word_catalog_substitutions(w, group):
+    """Oracle: spell b, second-bit f and (welded) a letters of a Word one
+    letter at a time, pass after pass, until nothing changes."""
+    table = WELDED_SPELLINGS if group == "wb" else SPELLINGS
+    while True:
+        out = []
+        changed = False
+        for sym, exp in w:
+            spelling = table.get((sym.family, sym.indices[1:]))
+            if spelling is None:
+                out.append((sym, exp))
+            else:
+                changed = True
+                rep = spelling.instantiate(m=sym.indices[0])
+                out.extend(rep.letters if exp == 1 else rep.inverse().letters)
+        if not changed:
+            return w
+        w = Word(out)
+
+
+def loop_torsion_merge(letters):
+    """Oracle: merge maximal runs of one letter, round after round, until a
+    round changes nothing."""
+    while True:
+        out = []
+        i = 0
+        while i < len(letters):
+            key = letters[i][:2]
+            total = 0
+            while i < len(letters) and letters[i][:2] == key:
+                total += letters[i][2]
+                i += 1
+            order = {"f": 3, "g": 2}.get(key[0])
+            if order is not None:
+                total %= order
+                if order == 3 and total == 2:
+                    total = -1
+            out.extend([key + (1 if total > 0 else -1,)] * abs(total))
+        merged = tuple(out)
+        if merged == letters:
+            return merged
+        letters = merged
+
+
+def word_torsion_normalize(w):
+    """Oracle: the cyclic torsion normal form of a Word through the loop merge."""
+    letters = lift(w).letters
+    for _ in range(len(letters) + 1):
+        letters = loop_torsion_merge(letters)
+        if len(letters) < 2 or letters[0][:2] != letters[-1][:2]:
+            break
+        key = letters[-1][:2]
+        k = 0
+        while k < len(letters) and letters[-1 - k][:2] == key:
+            k += 1
+        if k == len(letters):
+            break
+        letters = letters[-k:] + letters[:-k]
+    return TemplateWord(letters).instantiate()
+
+
+def word_compare_words(engine, stated, group):
+    """Oracle: the three comparison tiers with tier (c) on Words."""
+    if engine == stated:
+        return ("a", "exact")
+    if canon_equal(engine, stated):
+        return ("b", "equal-after-normalization")
+    e, s = (word_torsion_normalize(word_catalog_substitutions(w, group)) for w in (engine, stated))
+    if canon_equal(e, s):
+        return ("c", "equal-after-normalization")
+    return ("", "MISMATCH")
+
+
+@given(subgroup_letters, subgroup_letters, st.sampled_from(["vb", "wb"]))
+def test_template_tier_c_matches_word_oracle(u, v, group):
+    wu, wv = Word(u), Word(v)
+    for w in (wu, wv):
+        once = catalog_substitutions(lift(w), group)
+        assert once.instantiate() == word_catalog_substitutions(w, group)
+        assert torsion_normalize(once).instantiate() == word_torsion_normalize(once.instantiate())
+    cube = Word([(f(0, 0), 1)] * 3)
+    for x, y in ((wu, wv), (wu, word_catalog_substitutions(wu, group)), (wu, wu * cube), (wu * wv, wv * wu)):
+        assert compare_words(x, y, group) == word_compare_words(x, y, group)
+
+
+@given(subgroup_letters, st.sampled_from(["vb", "wb"]))
+def test_one_table_pass_is_a_fixed_point(letters, group):
+    once = catalog_substitutions(lift(Word(letters)), group)
+    assert catalog_substitutions(once, group) == once
+    table = WELDED_SPELLINGS if group == "wb" else SPELLINGS
+    for spelling in table.values():
+        spelled = catalog_substitutions(spelling, group)
+        assert catalog_substitutions(spelled, group) == spelled
+
+
+MERGE_POOL = [
+    ("f", (("m", 0), (None, 0))),
+    ("f", (("m", 1), (None, 0))),
+    ("g", (("m", 0), (None, 3))),
+    ("g", ((None, 2), (None, 4))),
+    ("a", (("m", 0),)),
+    ("a", ((None, 1),)),
+]
+
+merge_letters = st.lists(
+    st.builds(lambda l, e: l + (e,), st.sampled_from(MERGE_POOL), st.sampled_from([-1, 1])),
+    max_size=30,
+)
+
+
+@given(merge_letters)
+@example(parse_template("g(m,3)^-1").letters)  # a lone letter is normalised too
+@example(parse_template("a(m) f(m,0) f(m,0) f(m,0) a(m)^-1 f(m,0)^-1 f(m,0)^-1").letters)
+def test_torsion_merge_matches_fixed_point_loop(letters):
+    got = torsion_merge(tuple(letters))
+    assert got == loop_torsion_merge(tuple(letters))
+    assert ("g", (("m", 0), (None, 3)), -1) not in got
 
 
 def test_verify_lemma_shapes():
@@ -654,6 +776,28 @@ def test_instance_keys_group_labels_like_per_instance_keys():
                         oracle.setdefault(canon_key(w), []).append(label)
                     got = rewriting._instance_keys(p, window)
                     assert _label_classes(got) == _label_classes(oracle), (group, n, p.trims, window)
+
+
+def test_instance_keys_match_a_window_free_instance_to_its_family():
+    # a window-free cube at 2 and the cyclic core of a conjugated cube at
+    # m=1 are the instance of the cube family at m=2
+    p = Presentation(
+        "vb",
+        3,
+        (GeneratorFamily("a"), GeneratorFamily("f", (0,))),
+        (
+            FamilyInstance("f-cube", parse_template("f(m,0) f(m,0) f(m,0)")),
+            FamilyInstance("pinned", parse_template("f(2,0) f(2,0) f(2,0)")),
+            FamilyInstance("conjugated", parse_template("a(m) f(m+1,0) f(m+1,0) f(m+1,0) a(m)^-1")),
+        ),
+    )
+    for window in ((-3, 3), (0, 2), (3, 5)):
+        oracle = {}
+        for label, w in presets.instantiate(p, window).relators:
+            oracle.setdefault(canon_key(w), []).append(label)
+        got = rewriting._instance_keys(p, window)
+        assert _label_classes(got) == _label_classes(oracle), window
+    assert ["conjugated@1", "f-cube@2", "pinned"] in _label_classes(rewriting._instance_keys(p, (-3, 3)))
 
 
 def test_compare_catalog_raises_on_reversed_window_and_unshiftable_templates(monkeypatch):

@@ -116,15 +116,16 @@ def test_cyclic_reduce():
 
 
 def test_substitute_replaces_both_signs():
-    w = word(f(0, 1), a(0), (f(0, 1), -1))
-    out = w.substitute(f(0, 1), word((f(0, 0), -1)))
-    assert out == word((f(0, 0), -1), a(0), f(0, 0))
+    # a constant window index binds the replacement's m
+    t = lift(word(f(0, 1), a(0), (f(0, 1), -1)))
+    out = t.substitute_family("f", (1,), parse_template("f(m,0)^-1"))
+    assert out == lift(word((f(0, 0), -1), a(0), f(0, 0)))
 
 
 def test_substitute_rejects_self_reference():
-    w = word(a(0))
+    t = lift(word(a(0)))
     with pytest.raises(CyclicSubstitution):
-        w.substitute(a(0), word(a(0), a(1)))
+        t.substitute_family("a", (), parse_template("a(m) a(m+1)"))
 
 
 def test_symbol_validation():
