@@ -58,6 +58,19 @@ def _json_key(key) -> str:
     return _encode_str(key) + ": "
 
 
+# (key tuple, newline) -> _row_form of an all-string dict with str keys
+# only: 1, 1.0 and True are equal keys that json spells apart
+_ROW_FORMS: dict = {}
+
+
+def _row_form(obj: dict, newline: str) -> tuple:
+    """The fixed text of an all-string dict at one depth: its opening, the
+    separator, each sorted key's ``"key": `` text with the key, and its
+    closing.  Strings joined at their exact size keep the peak RSS down."""
+    inner = newline + "  "
+    return "{" + inner, "," + inner, [(_json_key(key), key) for key in sorted(obj)], newline + "}"
+
+
 def _json_parts(obj, newline: str, parts: list) -> None:
     """Append the ``indent=2`` text of obj, nested after ``newline``, to parts."""
     if isinstance(obj, str):
@@ -77,12 +90,17 @@ def _json_parts(obj, newline: str, parts: list) -> None:
         if not obj:
             parts.append("{}")
             return
+        if all(isinstance(value, str) for value in obj.values()):
+            form = _ROW_FORMS.get((tuple(obj), newline))
+            if form is None:
+                form = _row_form(obj, newline)
+                if all(isinstance(key, str) for key in obj):
+                    _ROW_FORMS[tuple(obj), newline] = form
+            head, sep, keys, tail = form
+            parts.append(head + sep.join([text + _encode_str(obj[key]) for text, key in keys]) + tail)
+            return
         inner = newline + "  "
         items = sorted(obj.items())
-        if all(isinstance(value, str) for _, value in items):
-            body = ("," + inner).join(_json_key(key) + _encode_str(value) for key, value in items)
-            parts.append("{" + inner + body + newline + "}")
-            return
         sep = "{" + inner
         for key, value in items:
             parts.append(sep + _json_key(key))
@@ -97,7 +115,8 @@ def _dump_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, from the C encoders.
 
     A dict of strings, such as a verify case row, is joined into one
-    string; every other part is collected in one list and joined once.
+    string around the key texts cached for its key tuple; every other
+    part is collected in one list and joined once.
     """
     parts: list = []
     _json_parts(obj, "\n", parts)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import BadRank, EmptyWindow, ParseError, ShapeMismatch
+from .errors import BadRank, EmptyWindow, ParametricInput, ParseError, ShapeMismatch
 from .words import (
     Symbol,
     TemplateWord,
@@ -427,11 +427,18 @@ def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
     This is the one window rule: every reader of a presentation over a
     window keeps the instances of t at exactly these m.  lo and hi stay
     infinite for a window-free template whose constant indices lie in
-    their domains.  A letter of no declared block raises ShapeMismatch.
+    their domains.  A letter of no declared block raises ShapeMismatch; a
+    variable in a trailing index slot raises ParametricInput.
     """
     letters, lo, hi = [], -math.inf, math.inf
     for fam, exprs, exp in t.letters:
-        (var, off), fixed = exprs[0], tuple(v for _, v in exprs[1:])
+        fixed = []
+        for var, off in exprs[1:]:
+            if var is not None:
+                raise ParametricInput("template variable in a trailing index slot of %s"
+                                      % print_template(TemplateWord(((fam, exprs, exp),))))
+            fixed.append(off)
+        (var, off), fixed = exprs[0], tuple(fixed)
         if var is None and domains.get((fam, (off,) + fixed), ()) is None:
             letters.append(((fam, (off,) + fixed), None, None, exp))
             continue

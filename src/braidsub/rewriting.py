@@ -29,7 +29,6 @@ from .cosets import (
     closed_form,
     expansion,
     phi,
-    representative,
     schreier_generator,
     step,
 )
@@ -83,20 +82,46 @@ def expand_raw(slots: Iterable[Slot]) -> Word:
     Each factor is rep(P) x^e rep(Q)^-1 for a slot moving coset P to Q,
     which is the defining expansion of the slot's subgroup letter (or its
     inverse), and is a representative-conjugated trivial move when the
-    slot emitted nothing.
+    slot emitted nothing.  With rep(i, e) = s1^i r1^e a factor is at most
+    five runs of one letter: s1^i, r1^e, x^exp, r1^-f and s1^-j.
 
-    The product is freely reduced as each letter arrives, so the letters
-    held at once stay within the word's length plus one coset depth, not
-    the sum of all the representatives' lengths.
+    The product is freely reduced run by run on a stack of [symbol, sign,
+    count] runs in which neighbours never share a symbol, so a push only
+    meets the top run and costs O(1) whatever the coset depths: the work
+    is linear in the number of slots.  Free reduction is unique, so this
+    is the word the letter-by-letter product gives.
     """
+    s1, r1 = sigma(1), rho(1)
+    runs: list = []
+
+    def push(sym: Symbol, sign: int, count: int) -> None:
+        if runs and runs[-1][0] == sym:
+            top = runs[-1]
+            if top[1] == sign:
+                top[2] += count
+                return
+            if top[2] > count:
+                top[2] -= count
+                return
+            runs.pop()
+            count -= top[2]
+            if not count:
+                return
+        runs.append([sym, sign, count])
+
+    for _, x, exp, (i, e), (j, f) in slots:
+        if i:
+            push(s1, 1 if i > 0 else -1, abs(i))
+        if e & 1:
+            push(r1, 1, 1)
+        push(x, exp, 1)
+        if f & 1:
+            push(r1, -1, 1)
+        if j:
+            push(s1, -1 if j > 0 else 1, abs(j))
     out: list = []
-    for _, x, exp, pre, post in slots:
-        for sym, e in (*representative(pre).letters, (x, exp),
-                       *representative(post).inverse().letters):
-            if out and out[-1][1] == -e and out[-1][0] == sym:
-                out.pop()
-            else:
-                out.append((sym, e))
+    for sym, sign, count in runs:
+        out += [(sym, sign)] * count
     return Word(out)
 
 
@@ -244,14 +269,18 @@ def _tletter_key(letter) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def template_canon_key(t: TemplateWord) -> tuple:
-    """Template analogue of canon_key, shift-normalized in the window."""
+    """Template analogue of canon_key, shift-normalized in the window.
+
+    The template is cyclically reduced before the shift, so a conjugating
+    letter at a lower window offset than the core cannot move the key.
+    """
+    t = t.cyclic_reduce()
     offs = t.m_offsets()
     if offs:
         t = t.shift(-min(offs))
-    letters = t.cyclic_reduce().letters
-    if not letters:
+    if not t:
         return ()
-    return _cyclic_key(tuple(_tletter_key(l) for l in letters))
+    return _cyclic_key(tuple(_tletter_key(l) for l in t.letters))
 
 
 # ---------------------------------------------------------------------------

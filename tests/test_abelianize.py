@@ -35,6 +35,7 @@ from braidsub.abelianize import (
 from braidsub.errors import (
     BadRank,
     EmptyWindow,
+    ParametricInput,
     ShapeMismatch,
     WindowTooNarrow,
 )
@@ -329,6 +330,16 @@ def test_relation_matrix_rejects_foreign_letters():
         abelianize.step_invariants(before, after, {"op": "rotate"}, (-2, 2))
     with pytest.raises(ShapeMismatch):
         abelianization(after, (-2, 2))
+
+
+def test_a_variable_trailing_index_raises_parametric_input():
+    gens = (GeneratorFamily("g", (3,)),)
+    free = Presentation("vb", 4, gens, (FamilyInstance("sq", parse_template("g(m,i+3) g(m,i+3)")),))
+    for call in (abelianization, instantiate):
+        with pytest.raises(ParametricInput, match=r"g\(m,i\+3\)"):
+            call(free, (-2, 2))
+    bound = Presentation("vb", 4, gens, (FamilyInstance("sq", parse_template("g(m,3) g(m,3)")),))
+    assert abelianization(bound, (-2, 2))["torsion"] == [2] * 5
 
 
 def builder_cases():

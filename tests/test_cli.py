@@ -293,7 +293,13 @@ def test_dump_json_matches_indented_json_dumps(obj):
 def test_dump_json_keys_and_errors_follow_json_dumps():
     for obj in ({1: 2, -3: [4]}, {2.5: {}, -1.0: "x"}, {None: 0}, {True: 1, False: [1]}, {"": {"": ""}}):
         assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    for bad in ({"a": {1, 2}}, [1, object()], {(1, 2): 3}, {"x": "y", "z": b"w"}, {1: 2, "1": 3}):
+    # all-string rows share one cached form per key tuple and depth; the
+    # equal keys 1, True and 1.0 are spelled apart
+    rows = [{"b": "", "a": "1"}, {"a": "\u00e9", "b": "\n"}, {"b": "x", "a": "y"}]
+    for obj in (rows, {"rows": rows, "deeper": [rows]}, [{1: "a"}, {True: "a"}, {1.0: "a"}]):
+        assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    for bad in ({"a": {1, 2}}, [1, object()], {(1, 2): 3}, {"x": "y", "z": b"w"}, {1: 2, "1": 3},
+                {1: "a", "1": "b"}):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from braidsub import presets, rewriting
+from braidsub import cosets, presets, rewriting
 from braidsub.cosets import ORIGIN, closed_form, expansion, phi, representative
 from braidsub.errors import EmptyWindow, NotConverged, NotInKernel, ParseError, ShapeMismatch
 from braidsub.presets import (
@@ -132,6 +132,88 @@ def test_linear_expand_raw_matches_product_fold(letters):
         representative(pre) * Word([(x, exp)]) * representative(post).inverse()
         for _, x, exp, pre, post in slots
     )
+
+
+def per_letter_expand(slots):
+    """Oracle: the product freely reduced one representative letter at a
+    time, each representative spelled out as a Word."""
+    out: list = []
+    for _, x, exp, pre, post in slots:
+        for sym, e in (*representative(pre).letters, (x, exp),
+                       *representative(post).inverse().letters):
+            if out and out[-1][1] == -e and out[-1][0] == sym:
+                out.pop()
+            else:
+                out.append((sym, e))
+    return Word(out)
+
+
+def push_cases(slots):
+    """Which run pushes of expand_raw cancel against the top run, read off
+    a per-letter product: "partial" leaves the top run shorter, "exact"
+    removes it, "overshoot" removes it and pushes the remainder."""
+    cases, out = set(), []
+    for _, x, exp, (i, e), (j, f) in slots:
+        for sym, sign, count in ((sigma(1), 1 if i > 0 else -1, abs(i)), (rho(1), 1, e),
+                                 (x, exp, 1), (rho(1), -1, f),
+                                 (sigma(1), -1 if j > 0 else 1, abs(j))):
+            cancelled = 0
+            for _ in range(count):
+                if out and out[-1] == (sym, -sign):
+                    out.pop()
+                    cancelled += 1
+                else:
+                    out.append((sym, sign))
+            if 0 < cancelled < count:
+                cases.add("overshoot")
+            elif cancelled:
+                cases.add("partial" if out and out[-1] == (sym, -sign) else "exact")
+    return cases
+
+
+def excursion_word(excursions):
+    """Per excursion (d, r1, x, e): s1 letters to coset depth d, then r1
+    if asked, then x^e; closed into the kernel, so every slot sits at a
+    coset at most max |d| + 1 deep."""
+    letters = []
+    for d, r1, x, e in excursions:
+        k = d - phi(Word(letters))[0]
+        letters += [(sigma(1), 1 if k > 0 else -1)] * abs(k) + [(rho(1), 1)] * r1 + [(x, e)]
+    return kernel_word(letters)
+
+
+deep_excursions = st.lists(
+    st.tuples(st.integers(min_value=-60, max_value=60), st.booleans(),
+              st.sampled_from(AMBIENT5), st.sampled_from([-1, 1])),
+    max_size=8,
+).map(excursion_word)
+
+# s1^3 s2 s1 s3 s1^-6: an s1 slot's closing run s1^-j meets the shorter
+# s1 run that ends the product so far (overshoot), and the next slot's
+# s1^j meets the remainder.
+EVERY_PUSH_CASE = excursion_word([(3, False, sigma(2), 1), (5, False, sigma(3), 1)])
+
+
+def test_deep_excursions_hit_every_push_case():
+    assert push_cases(rewrite_slots(EVERY_PUSH_CASE)) == {"partial", "exact", "overshoot"}
+
+
+@given(ambient_letters.map(kernel_word) | deep_excursions)
+@example(EVERY_PUSH_CASE)
+def test_expand_raw_matches_per_letter_product(w):
+    slots = rewrite_slots(w)
+    out = expand_raw(slots)
+    assert out == per_letter_expand(slots) == w
+
+
+def test_expand_raw_builds_no_representative(monkeypatch):
+    def forbidden(coset):
+        raise AssertionError("representative(%s) called" % (coset,))
+
+    monkeypatch.setattr(cosets, "representative", forbidden)
+    monkeypatch.setattr(rewriting, "representative", forbidden, raising=False)
+    w = excursion_word([(40, True, rho(2), 1), (-30, False, sigma(3), -1)])
+    assert expand_raw(rewrite_slots(w)) == w
 
 
 @given(ambient_letters)
@@ -312,12 +394,13 @@ def brute_canon_key(w):
 
 
 def brute_template_key(t):
-    offs = t.m_offsets()
-    if offs:
-        t = t.shift(-min(offs))
     letters = t.letters
     while len(letters) >= 2 and letters[0][:2] == letters[-1][:2] and letters[0][2] == -letters[-1][2]:
         letters = letters[1:-1]
+    t = TemplateWord(letters)
+    offs = t.m_offsets()
+    if offs:
+        letters = t.shift(-min(offs)).letters
 
     def key(l):
         fam, exprs, exp = l
@@ -358,9 +441,26 @@ def test_canon_key_matches_brute_force_rotations(w):
     assert canon_key(w) == brute_canon_key(w)
 
 
-@given(periodic_templates)
+# A periodic template conjugated by one pool letter at an offset of its
+# own: not cyclically reduced, and its window offsets reach past the core's.
+conjugated_templates = st.builds(
+    lambda t, l, e, k: TemplateWord((l + (e,),) + t.letters + (l + (-e,),)).shift(k),
+    periodic_templates,
+    st.sampled_from(TEMPLATE_POOL),
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@given(periodic_templates | conjugated_templates)
 def test_template_canon_key_matches_brute_force_rotations(t):
     assert template_canon_key(t) == brute_template_key(t)
+
+
+def test_template_canon_key_strips_a_conjugating_letter_before_the_shift():
+    core = parse_template("f(m,0) f(m,0) f(m,0)")
+    conjugated = parse_template("a(m) f(m+1,0) f(m+1,0) f(m+1,0) a(m)^-1")
+    assert template_canon_key(conjugated) == template_canon_key(core)
 
 
 def test_canon_treats_involution_letters_sign_blind():
