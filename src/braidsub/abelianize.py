@@ -355,15 +355,21 @@ def stabilization_profile(group: str, n: int, windows=DEFAULT_WINDOWS) -> dict:
     }
 
 
+def settled(profile: dict, torsion: list) -> bool:
+    """Whether a profile is stable with torsion list ``torsion`` and a free
+    rank that does not move with the window."""
+    return profile["stable"] and profile["torsion"] == torsion and profile["free_rank_delta"] == 0
+
+
 def check_perfect(group: str, n: int, windows=DEFAULT_WINDOWS) -> dict:
     """Decide whether the windowed profile is consistent with perfectness.
 
-    Consistent means the stable torsion list is empty and the free rank
-    does not move with the window. The full profile rides along so a
-    negative verdict shows what was found instead.
+    Consistent means the profile is settled with no torsion. The full
+    profile rides along so a negative verdict shows what was found
+    instead.
     """
     prof = stabilization_profile(group, n, windows)
-    ok = prof["stable"] and prof["torsion"] == [] and prof["free_rank_delta"] == 0
+    ok = settled(prof, [])
     return {
         "verdict": "consistent with perfect" if ok else "not perfect",
         "profile": prof,

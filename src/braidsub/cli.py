@@ -395,13 +395,7 @@ def build_report() -> dict:
     )
 
     p_vb4 = _profile_row("vb", 4)
-    ok = (
-        p_vb3["stable"]
-        and p_vb3["torsion"] == [3, 3, 3]
-        and p_vb4["stable"]
-        and p_vb4["torsion"] == [3, 3, 3]
-        and p_vb4["free_rank_delta"] == 0
-    )
+    ok = p_vb3["stable"] and p_vb3["torsion"] == [3, 3, 3] and ab.settled(p_vb4, [3, 3, 3])
     row(
         "Cor 1.2(2)",
         "abelianizations at ranks 3 and 4: three factors of order three,"
@@ -412,7 +406,7 @@ def build_report() -> dict:
 
     p_vb5 = _profile_row("vb", 5)
     p_vb6 = _profile_row("vb", 6)
-    ok = all(p["stable"] and p["torsion"] == [] and p["free_rank_delta"] == 0 for p in (p_vb5, p_vb6))
+    ok = all(ab.settled(p, []) for p in (p_vb5, p_vb6))
     row(
         "Cor 1.2(3)",
         "for rank at least 5 the virtual group is perfect: the derived"
@@ -437,12 +431,7 @@ def build_report() -> dict:
     )
 
     p_wb3 = _profile_row("wb", 3)
-    ok = (
-        p_wb3["stable"]
-        and p_wb3["torsion"] == [3, 3, 3]
-        and p_wb3["free_rank_delta"] == 0
-        and p_wb3["free_ranks"][0] == 1
-    )
+    ok = ab.settled(p_wb3, [3, 3, 3]) and p_wb3["free_ranks"][0] == 1
     row(
         "Theorem 1.3(2)",
         "its abelianization has three factors of order three and one"
@@ -453,13 +442,7 @@ def build_report() -> dict:
 
     wb4 = tietze.run_script("WB4_REDUCE")
     p_wb4 = _profile_row("wb", 4)
-    ok = (
-        wb4.summary.finite
-        and wb4.summary.count == 4
-        and p_wb4["stable"]
-        and p_wb4["torsion"] == [3]
-        and p_wb4["free_rank_delta"] == 0
-    )
+    ok = wb4.summary.finite and wb4.summary.count == 4 and ab.settled(p_wb4, [3])
     row(
         "Theorem 1.3(3)",
         "at rank 4 the welded derived subgroup needs four generators and"
@@ -470,13 +453,7 @@ def build_report() -> dict:
 
     wb5 = tietze.run_script("WBN_REDUCE", 5)
     p_wb5 = _profile_row("wb", 5)
-    ok = (
-        wb5.summary.finite
-        and wb5.summary.count == 5
-        and p_wb5["stable"]
-        and p_wb5["torsion"] == []
-        and p_wb5["free_rank_delta"] == 0
-    )
+    ok = wb5.summary.finite and wb5.summary.count == 5 and ab.settled(p_wb5, [])
     row(
         "Theorem 1.3(4)",
         "for rank at least 5 the welded group is perfect and the derived"

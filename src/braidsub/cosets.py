@@ -22,6 +22,12 @@ letter at ``(i, e)``  generator
 ``rl`` with l > 2     ``g(i, l)``        (bit independent)
 ====================  =======================================
 
+``step`` is the one rule for how a letter moves the coset; ``phi`` walks
+it from the origin.  ``schreier_generator`` reads the table forwards.
+``defining_slot`` reads it backwards: each generator has one defining
+slot, the coset P and positive letter x at which the table emits it, and
+``expansion`` multiplies out its factor rep(P) x rep(Px)^-1 there.
+
 Every generator also has a closed-form spelling in the ambient letters,
 used when printing and when expanding subgroup words; symmetric letters
 appear there with positive exponent only.
@@ -44,17 +50,11 @@ R1SQ = "r1sq"
 
 
 def phi(w: Word) -> Coset:
-    """Image of an ambient word in Z x Z/2."""
-    i = 0
-    e = 0
+    """Image of an ambient word in Z x Z/2: the coset its walk from ORIGIN ends at."""
+    coset = ORIGIN
     for sym, exp in w:
-        if sym.family == "sigma":
-            i += exp
-        elif sym.family == "rho":
-            e ^= 1
-        else:
-            raise ForeignSymbol("not an ambient letter: %s" % sym)
-    return (i, e)
+        coset = step(coset, sym, exp)
+    return coset
 
 
 def step(coset: Coset, sym: Symbol, exp: int) -> Coset:
@@ -110,52 +110,36 @@ def schreier_generator_strict(coset: Coset, sym: Symbol) -> Symbol:
     return out
 
 
-def canonical_coset(sym: Symbol) -> Coset:
-    """The coset at which the defining instance of a generator lives."""
-    fam = sym.family
+def defining_slot(sym: Symbol) -> tuple[Coset, Symbol]:
+    """The coset and the positive ambient letter whose reading defines a
+    generator: the table above, read backwards."""
+    fam, idx = sym.family, sym.indices
     if fam == "a":
-        return (sym.indices[0], 1)
-    if fam in ("b", "f"):
-        return (sym.indices[0], sym.indices[1])
-    if fam == "c":
-        return (0, 0)
-    if fam == "g":
-        return (sym.indices[0], 0)
-    if fam == R1SQ:
-        return (sym.indices[0], 1)
-    raise ForeignSymbol("not a subgroup generator: %s" % sym)
-
-
-def base_letter(sym: Symbol) -> Symbol:
-    """The ambient letter whose reading emits the generator."""
-    fam = sym.family
-    if fam == "a":
-        return sigma(1)
+        return (idx[0], 1), sigma(1)
     if fam == "b":
-        return sigma(2)
+        return (idx[0], idx[1]), sigma(2)
     if fam == "c":
-        return sigma(sym.indices[0])
+        return ORIGIN, sigma(idx[0])
     if fam == "f":
-        return rho(2)
+        return (idx[0], idx[1]), rho(2)
     if fam == "g":
-        return rho(sym.indices[1])
+        return (idx[0], 0), rho(idx[1])
     if fam == R1SQ:
-        return rho(1)
+        return (idx[0], 1), rho(1)
     raise ForeignSymbol("not a subgroup generator: %s" % sym)
 
 
 def expansion(sym: Symbol, at: Optional[Coset] = None) -> Word:
     """Defining ambient word rep(P) x rep(P phi(x))^-1 of a generator.
 
-    ``at`` defaults to the canonical coset of the symbol; for the
+    ``at`` defaults to the defining coset of the symbol; for the
     coset-blind families the expansion is the same word at every
     admissible coset.
     """
+    coset, x = defining_slot(sym)
     if at is None:
-        at = canonical_coset(sym)
-    x = base_letter(sym)
-    after = step(at, x, 1)
-    return representative(at) * Word([(x, 1)]) * representative(after).inverse()
+        at = coset
+    return representative(at) * Word([(x, 1)]) * representative(step(at, x, 1)).inverse()
 
 
 def closed_form(sym: Symbol) -> Word:

@@ -428,7 +428,8 @@ def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
     window keeps the instances of t at exactly these m.  lo and hi stay
     infinite for a window-free template whose constant indices lie in
     their domains.  A letter of no declared block raises ShapeMismatch; a
-    variable in a trailing index slot raises ParametricInput.
+    variable in a trailing index slot, or one other than m in the first,
+    raises ParametricInput.
     """
     letters, lo, hi = [], -math.inf, math.inf
     for fam, exprs, exp in t.letters:
@@ -439,6 +440,9 @@ def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
                                       % print_template(TemplateWord(((fam, exprs, exp),))))
             fixed.append(off)
         (var, off), fixed = exprs[0], tuple(fixed)
+        if var not in (None, "m"):
+            raise ParametricInput("template variable %s in the window index slot of %s"
+                                  % (var, print_template(TemplateWord(((fam, exprs, exp),)))))
         if var is None and domains.get((fam, (off,) + fixed), ()) is None:
             letters.append(((fam, (off,) + fixed), None, None, exp))
             continue

@@ -28,7 +28,6 @@ from .cosets import (
     R1SQ,
     closed_form,
     expansion,
-    phi,
     schreier_generator,
     step,
 )
@@ -64,8 +63,6 @@ def rewrite_slots(w: Word) -> list[Slot]:
     before and after.  A positive letter is classified at the coset it
     is read from, a negative letter at the coset it lands on.
     """
-    if phi(w) != ORIGIN:
-        raise NotInKernel("word has bidegree %s" % (phi(w),))
     slots: list[Slot] = []
     cur = ORIGIN
     for sym, exp in w:
@@ -73,6 +70,8 @@ def rewrite_slots(w: Word) -> list[Slot]:
         at = cur if exp == 1 else nxt
         slots.append((schreier_generator(at, sym, internal=True), sym, exp, cur, nxt))
         cur = nxt
+    if cur != ORIGIN:
+        raise NotInKernel("word has bidegree %s" % (cur,))
     return slots
 
 
@@ -209,27 +208,31 @@ def derive_relation_direct(r: Word, m: int = 0, twisted: bool = False) -> Word:
 def _least_rotation(keys: tuple) -> tuple:
     """The lexicographically least rotation of a tuple, in linear time.
 
-    Booth's algorithm (K. S. Booth, Lexicographically least circular
-    substrings, Inf. Proc. Letters 10(4), 1980): a failure function over
-    the doubled sequence, reset whenever a smaller start ``k`` turns up.
+    Two candidate starts i and j are compared over the doubled tuple,
+    with k letters matched so far.  At the first difference the start
+    with the larger letter loses, and so does every start up to k past
+    it (each is beaten by the start the same distance past the other), so
+    it jumps k + 1 ahead, one more if it lands on the other start.  When a
+    start or k reaches the length, the smaller start begins the least
+    rotation.
     """
+    n = len(keys)
     s = keys + keys
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and sj != s[k]:
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return keys[k:] + keys[:k]
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return keys[i:] + keys[:i]
 
 
 def _cyclic_key(keys: tuple) -> tuple:

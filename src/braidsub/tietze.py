@@ -29,7 +29,6 @@ script runs, so they call whatever the module names are bound to then.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,25 +62,21 @@ def _row(p: Presentation, label: str, t: TemplateWord, text: str):
     return dataclasses.replace(p, relators=rels), _row_record(label, text)
 
 
-def _witness(p: Presentation, t: TemplateWord, skip: Optional[str] = None):
-    """The first relator other than ``skip`` equal to t up to the canonical form."""
-    key = template_canon_key(t)
+def _by_key(p: Presentation) -> dict[tuple, list[str]]:
+    """The relator labels of p by canonical key, in presentation order:
+    the one view that licence checks and duplicate drops read."""
+    out: dict[tuple, list[str]] = {}
     for inst in p.relators:
-        if inst.label != skip and template_canon_key(inst.template) == key:
-            return inst
-    return None
+        out.setdefault(template_canon_key(inst.template), []).append(inst.label)
+    return out
 
 
-def _licence(p: Presentation, t: TemplateWord) -> str:
-    """The label of the present relator family that licenses a rewrite by t."""
-    inst = _witness(p, t)
-    if inst is None:
-        raise _unlicensed(t)
-    return inst.label
-
-
-def _unlicensed(t: TemplateWord) -> ScriptPreconditionFailed:
-    return ScriptPreconditionFailed("presentation has no relator family matching %s" % print_template(t))
+def _licence(by_key: dict, t: TemplateWord) -> str:
+    """The label of the first relator family that licenses a rewrite by t."""
+    labels = by_key.get(template_canon_key(t))
+    if not labels:
+        raise ScriptPreconditionFailed("presentation has no relator family matching %s" % print_template(t))
+    return labels[0]
 
 
 def _block(p: Presentation, family: str, fixed: tuple) -> int:
@@ -267,10 +262,10 @@ def drop_relator(p: Presentation, label: str, reason: str):
             raise ScriptPreconditionFailed("%s is not freely trivial" % label)
         kept = None
     elif reason == "duplicate":
-        other = _witness(p, inst.template, skip=label)
-        if other is None:
+        others = [o for o in _by_key(p)[template_canon_key(inst.template)] if o != label]
+        if not others:
             raise ScriptPreconditionFailed("%s duplicates no other family" % label)
-        kept = other.label
+        kept = others[0]
     else:
         raise ScriptPreconditionFailed("unknown drop reason %r" % reason)
     return _drop(p, label, reason, kept)
@@ -311,7 +306,7 @@ def flip_g_letter(p: Presentation, label: str, occurrence: int = 0):
     strand = exprs[1][1]
     off = _offset(t.letters[idx])
     square = _g_square(strand, off)
-    witness = _licence(p, square)
+    witness = _licence(_by_key(p), square)
     new = _insert(t, idx, square)
     expected = TemplateWord(
         t.letters[:idx] + ((t.letters[idx][0], t.letters[idx][1], 1),) + t.letters[idx + 1 :]
@@ -346,9 +341,10 @@ def braid_flip(p: Presentation, label: str):
     off = _offset(t.letters[i])
     e = t.letters[i + 1][2]
     braid = _fg_braid(off)
-    braid_witness = _licence(p, braid)
     square = _g_square(3, off)
-    square_witness = _licence(p, square)
+    by_key = _by_key(p)
+    braid_witness = _licence(by_key, braid)
+    square_witness = _licence(by_key, square)
     g_letter = t.letters[i]
     f_letter = t.letters[i + 1]
     expected = TemplateWord(
@@ -426,28 +422,27 @@ def rewrite_letter(
     return _row(p, label, new, text)
 
 
-def _torsion_row(t: TemplateWord, label: str, licence) -> tuple[TemplateWord, str]:
+def _torsion_row(t: TemplateWord, label: str, by_key: dict) -> tuple[TemplateWord, str]:
     """The torsion merge of one relator and the text of its record.
 
-    A merge that changes f letters calls ``licence`` on the f cube, one
-    that changes g letters on the square of each strand; ``licence``
-    raises when no relator family matches.
+    A merge that changes f letters needs a licence for the f cube, one
+    that changes g letters for the square of each strand.
     """
     new = TemplateWord(torsion_merge(t.letters))
     if new == t:
         return t, "torsion merge on %s: no change" % label
     old_fams = {(fam, exprs) for fam, exprs, _ in t.letters}
     if any(fam == "f" for fam, _ in old_fams):
-        licence(_F_CUBE)
+        _licence(by_key, _F_CUBE)
     for fam, exprs in old_fams:
         if fam == "g":
-            licence(_g_square(exprs[1][1], 0))
+            _licence(by_key, _g_square(exprs[1][1], 0))
     return new, "torsion merge on %s: %s" % (label, print_template(new))
 
 
 def torsion_reduce_relator(p: Presentation, label: str):
     """Merge torsion syllables (f mod three, g mod two) in one relator."""
-    new, text = _torsion_row(_relator(p, label).template, label, lambda w: _licence(p, w))
+    new, text = _torsion_row(_relator(p, label).template, label, _by_key(p))
     return _row(p, label, new, text)
 
 
@@ -457,32 +452,27 @@ def torsion_cleanup(p: Presentation):
     The witness relators themselves (the f cube and the per-strand g
     squares) are left untouched: they license the merges and stay in the
     final presentation.  One pass does the work of torsion_reduce_relator
-    on each other relator in turn: a count of the canonical keys present,
-    updated as rows merge, answers each licence check against the
-    presentation as it stands at that relator.  Relator labels are
-    unique, as in every presentation a script builds.
+    on each other relator in turn: the keyed view of the relators, with a
+    label moved between keys as its row merges, answers each licence
+    check against the presentation as it stands at that relator.
+    Relator labels are unique, as in every presentation a script builds.
     """
     witness_keys = {template_canon_key(_F_CUBE)} | {
         template_canon_key(_g_square(gen.fixed[0], 0)) for gen in p.generators if gen.family == "g"
     }
     rels = list(p.relators)
     keys = [template_canon_key(inst.template) for inst in rels]
-    present = Counter(keys)
-
-    def licence(w: TemplateWord) -> None:
-        if not present[template_canon_key(w)]:
-            raise _unlicensed(w)
-
+    by_key = _by_key(p)
     records = []
     for i, inst in enumerate(rels):
         if keys[i] in witness_keys:
             continue
-        new, text = _torsion_row(inst.template, inst.label, licence)
+        new, text = _torsion_row(inst.template, inst.label, by_key)
         records.append(_row_record(inst.label, text))
         if new is not inst.template:
-            present[keys[i]] -= 1
+            by_key[keys[i]].remove(inst.label)
             keys[i] = template_canon_key(new)
-            present[keys[i]] += 1
+            by_key.setdefault(keys[i], []).append(inst.label)
             rels[i] = FamilyInstance(inst.label, new)
     kept, drops = [], []
     seen: dict[tuple, str] = {}

@@ -422,15 +422,9 @@ class TemplateWord:
                 out.append((fam, exprs, exp))
         return TemplateWord(out)
 
-    def m_offsets(self, family: Optional[str] = None) -> list[int]:
-        """Offsets of the window variable in first slots, optionally per family."""
-        out = []
-        for fam, exprs, _ in self.letters:
-            if family is not None and fam != family:
-                continue
-            if exprs and exprs[0][0] == "m":
-                out.append(exprs[0][1])
-        return out
+    def m_offsets(self) -> list[int]:
+        """Offsets of the window variable in first slots."""
+        return [exprs[0][1] for _, exprs, _ in self.letters if exprs and exprs[0][0] == "m"]
 
 
 def lift(w: Word) -> TemplateWord:

@@ -342,6 +342,16 @@ def test_a_variable_trailing_index_raises_parametric_input():
     assert abelianization(bound, (-2, 2))["torsion"] == [2] * 5
 
 
+def test_a_variable_other_than_m_in_the_window_slot_raises_parametric_input():
+    gens = (GeneratorFamily("f", (0,)),)
+    free = Presentation("vb", 3, gens, (FamilyInstance("cube", parse_template("f(i,0) f(i,0) f(i,0)")),))
+    for call in (abelianization, instantiate):
+        with pytest.raises(ParametricInput, match=r"f\(i,0\)"):
+            call(free, (-2, 2))
+    bound = Presentation("vb", 3, gens, (FamilyInstance("cube", parse_template("f(m,0) f(m,0) f(m,0)")),))
+    assert abelianization(bound, (-2, 2))["torsion"] == [3] * 5
+
+
 def builder_cases():
     for group in ("vb", "wb"):
         for n in range(3, 9):

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from braidsub.cosets import (
     ORIGIN,
     R1SQ,
-    base_letter,
-    canonical_coset,
     closed_form,
+    defining_slot,
     expansion,
     phi,
     representative,
@@ -146,11 +145,23 @@ def test_canonical_cosets_and_base_letters():
         (Symbol(R1SQ, (2,)), (2, 1), rho(1)),
     ]
     for sym, coset, letter in table:
-        assert canonical_coset(sym) == coset
-        assert base_letter(sym) == letter
+        assert defining_slot(sym) == (coset, letter)
         assert expansion(sym) == expansion(sym, at=coset)
-        # the classification at the canonical coset gives the symbol back
+        # the classification at the defining coset gives the symbol back
         assert schreier_generator(coset, letter, internal=True) == sym
+
+
+def test_defining_slot_inverts_the_classification():
+    # every emitted generator names the letter it was read from, and the
+    # table read at its defining coset emits it again
+    for coset in all_cosets():
+        for x in AMBIENT:
+            sym = schreier_generator(coset, x, internal=True)
+            if sym is None:
+                continue
+            slot, letter = defining_slot(sym)
+            assert letter == x
+            assert schreier_generator(slot, letter, internal=True) == sym
 
 
 def test_closed_forms_frozen():
@@ -259,6 +270,6 @@ def test_foreign_symbols_are_rejected():
     with pytest.raises(ForeignSymbol):
         schreier_generator(ORIGIN, a(0))
     with pytest.raises(ForeignSymbol):
-        base_letter(sigma(1))
+        defining_slot(sigma(1))
     with pytest.raises(ForeignSymbol):
         closed_form(Symbol("q", (0,)))

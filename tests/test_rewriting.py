@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from braidsub import cosets, presets, rewriting
 from braidsub.cosets import ORIGIN, closed_form, expansion, phi, representative
-from braidsub.errors import EmptyWindow, NotConverged, NotInKernel, ParseError, ShapeMismatch
+from braidsub.errors import EmptyWindow, ForeignSymbol, NotConverged, NotInKernel, ParseError, ShapeMismatch
 from braidsub.presets import (
     LEMMA_TABLES,
     SPELLINGS,
@@ -109,6 +109,25 @@ def test_not_in_kernel():
         rewrite(parse_word("s1"))
     with pytest.raises(NotInKernel):
         rewrite_slots(parse_word("r1"))
+
+
+def test_rewrite_slots_walks_each_word_once(monkeypatch):
+    # the walk itself decides the bidegree: phi is never consulted
+    words = [kernel_word(letters) for letters in ([], [(sigma(2), 1), (rho(3), -1)], [(sigma(1), 1)] * 7)]
+    words.append(EVERY_PUSH_CASE)
+
+    def forbidden(w):
+        raise AssertionError("phi called")
+
+    monkeypatch.setattr(cosets, "phi", forbidden)
+    monkeypatch.setattr(rewriting, "phi", forbidden, raising=False)
+    for w in words:
+        assert expand_raw(rewrite_slots(w)) == w
+    for text, message in [("s1", r"^word has bidegree \(1, 0\)$"), ("s1 s1 r1", r"^word has bidegree \(2, 1\)$")]:
+        with pytest.raises(NotInKernel, match=message):
+            rewrite_slots(parse_word(text))
+    with pytest.raises(ForeignSymbol, match=r"^not an ambient letter: a\(0\)$"):
+        rewrite_slots(Word([(sigma(1), 1), (a(0), 1)]))
 
 
 @given(ambient_letters)
@@ -455,6 +474,29 @@ conjugated_templates = st.builds(
 @given(periodic_templates | conjugated_templates)
 def test_template_canon_key_matches_brute_force_rotations(t):
     assert template_canon_key(t) == brute_template_key(t)
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=5), st.integers(1, 40), st.integers(0, 200))
+def test_least_rotation_of_long_periodic_tuples(u, k, r):
+    # u^k rotated: the starts meet often, which is where the scan's
+    # i == j step matters
+    t = tuple(u) * k
+    r %= len(t)
+    t = t[r:] + t[:r]
+    assert rewriting._least_rotation(t) == min(t[i:] + t[:i] for i in range(len(t)))
+
+
+def test_cyclic_keys_of_long_periodic_and_constant_words_match_brute_force():
+    words = [parse_word("f(0,0) a(1)^-1 f(0,0)"), parse_word("b(0,1) a(0) b(0,1)"), parse_word("a(0)")]
+    templates = [parse_template("f(m,0) a(m+1)^-1 f(m,0)"), parse_template("g(m,3) f(m,0)"), parse_template("f(m,0)")]
+    for k in range(1, 41):
+        for u in words:
+            letters = (u ** k).letters
+            w = Word(letters[k % len(letters):] + letters[: k % len(letters)])
+            assert canon_key(w) == brute_canon_key(w)
+        for u in templates:
+            t = TemplateWord(u.letters * k).rotate(k)
+            assert template_canon_key(t) == brute_template_key(t)
 
 
 def test_template_canon_key_strips_a_conjugating_letter_before_the_shift():

@@ -226,6 +226,22 @@ def test_drop_relator():
         drop_relator(p1, "f-cube", "because")
 
 
+def test_drop_relator_names_the_first_duplicate():
+    gens = (GeneratorFamily("a"), GeneratorFamily("f", (0,)))
+    rels = (
+        ("first", "f(m,0) a(m)"),
+        ("other", "a(m) a(m)"),
+        ("middle", "a(m+1)^-1 f(m+1,0)^-1"),
+        ("last", "a(m) f(m,0)"),
+    )
+    p = Presentation("vb", 3, gens, tuple(FamilyInstance(l, parse_template(t)) for l, t in rels))
+    p1, rec = drop_relator(p, "middle", "duplicate")
+    assert rec == {"op": "drop", "label": "middle", "kept": "first", "text": "drop middle (duplicate of first)"}
+    assert [inst.label for inst in p1.relators] == ["first", "other", "last"]
+    assert drop_relator(p, "last", "duplicate")[1]["kept"] == "first"
+    assert drop_relator(p, "first", "duplicate")[1]["kept"] == "middle"
+
+
 def test_rotate_relator():
     p = Presentation(
         "vb",
