@@ -276,7 +276,7 @@ def _rows(p: Presentation, domains: dict) -> dict:
         for m in [None] if lo == -math.inf else range(lo, hi + 1):
             row: dict = {}
             for prefix, var, off, exp in letters:
-                col = prefix + (off if var is None else m + off,)
+                col = prefix + (m + off if var else off,)
                 row[col] = row.get(col, 0) + exp
             rows[inst.label, m] = {c: e for c, e in row.items() if e}
     return rows

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import ForeignSymbol, TrivialSymbol
+from .errors import ForeignSymbol
 from .words import Symbol, Word, rho, sigma
 
 Coset = tuple  # (int, int)
@@ -100,14 +100,6 @@ def schreier_generator(coset: Coset, sym: Symbol, internal: bool = False) -> Opt
             return Symbol("f", (i, e))
         return Symbol("g", (i, l))
     raise ForeignSymbol("not an ambient letter: %s" % sym)
-
-
-def schreier_generator_strict(coset: Coset, sym: Symbol) -> Symbol:
-    """Like :func:`schreier_generator` but trivial slots raise."""
-    out = schreier_generator(coset, sym)
-    if out is None:
-        raise TrivialSymbol("no subgroup generator at %s for %s" % (coset, sym))
-    return out
 
 
 def defining_slot(sym: Symbol) -> tuple[Coset, Symbol]:

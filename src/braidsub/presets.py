@@ -38,7 +38,9 @@ from .errors import BadRank, EmptyWindow, ParametricInput, ParseError, ShapeMism
 from .words import (
     Symbol,
     TemplateWord,
+    fixed_indices,
     parse_template,
+    print_letter,
     print_template,
     print_word,
     rho,
@@ -122,14 +124,11 @@ class RelatorFamily:
     def template(self) -> TemplateWord:
         return parse_template(self.text)
 
+    def instance_label(self, aux: dict) -> str:
+        return "%s[%s]" % (self.label, params_text(aux)) if aux else self.label
+
     def expand(self, n: int) -> list["FamilyInstance"]:
-        out = []
-        for aux in self.domain(n):
-            label = self.label
-            if aux:
-                label += "[%s]" % params_text(aux)
-            out.append(FamilyInstance(label, self.template.bind(**aux)))
-        return out
+        return [FamilyInstance(self.instance_label(aux), self.template.bind(**aux)) for aux in self.domain(n)]
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ class AmbientFamily:
 def ambient_family(fam: RelatorFamily, n: int) -> AmbientFamily:
     """The concrete cases of one ambient relator row at rank n."""
     return AmbientFamily(
-        fam.label, tuple((aux, fam.template.bind(**aux).instantiate()) for aux in fam.domain(n))
+        fam.label, tuple((aux, fam.template.instantiate(**aux)) for aux in fam.domain(n))
     )
 
 
@@ -223,8 +222,12 @@ class FinitePresentation:
 def ambient_presentation(group: str, n: int) -> FinitePresentation:
     check_rank(n)
     gens = tuple(sigma(i) for i in range(1, n)) + tuple(rho(i) for i in range(1, n))
-    insts = expand_families(ambient_relator_families(group), n)
-    return FinitePresentation(gens, tuple((inst.label, inst.template.instantiate()) for inst in insts))
+    rels = tuple(
+        (fam.instance_label(aux), fam.template.instantiate(**aux))
+        for fam in ambient_relator_families(group)
+        for aux in fam.domain(n)
+    )
+    return FinitePresentation(gens, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +426,8 @@ def width(domains: dict) -> int:
 def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
     """t's letters as (column prefix, window variable, offset, exponent), and
     the interval [lo, hi] of m that puts every letter inside its domain.
+    The window variable is "m", or "" for a constant window index; a
+    letter of a block without a window index has None and None there.
 
     This is the one window rule: every reader of a presentation over a
     window keeps the instances of t at exactly these m.  lo and hi stay
@@ -432,26 +437,23 @@ def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
     raises ParametricInput.
     """
     letters, lo, hi = [], -math.inf, math.inf
-    for fam, exprs, exp in t.letters:
-        fixed = []
-        for var, off in exprs[1:]:
-            if var is not None:
-                raise ParametricInput("template variable in a trailing index slot of %s"
-                                      % print_template(TemplateWord(((fam, exprs, exp),))))
-            fixed.append(off)
-        (var, off), fixed = exprs[0], tuple(fixed)
-        if var not in (None, "m"):
+    for letter in t.letters:
+        fam, exprs, exp = letter
+        fixed = fixed_indices(exprs[1:])
+        if fixed is None:
+            raise ParametricInput("template variable in a trailing index slot of %s" % print_letter(letter))
+        var, off = exprs[0]
+        if var and var != "m":
             raise ParametricInput("template variable %s in the window index slot of %s"
-                                  % (var, print_template(TemplateWord(((fam, exprs, exp),)))))
-        if var is None and domains.get((fam, (off,) + fixed), ()) is None:
+                                  % (var, print_letter(letter)))
+        if not var and domains.get((fam, (off,) + fixed), ()) is None:
             letters.append(((fam, (off,) + fixed), None, None, exp))
             continue
         dom = domains.get((fam, fixed))
         if dom is None:
-            raise ShapeMismatch("relator letter %s is in no declared generator block"
-                                % print_template(TemplateWord(((fam, exprs, exp),))))
+            raise ShapeMismatch("relator letter %s is in no declared generator block" % print_letter(letter))
         letters.append(((fam, fixed), var, off, exp))
-        if var is not None:
+        if var:
             lo, hi = max(lo, dom[0] - off), min(hi, dom[1] - off)
         elif not dom[0] <= off <= dom[1]:
             lo, hi = max(lo, 1), min(hi, 0)

@@ -33,14 +33,15 @@ from .cosets import (
 )
 from .errors import NotConverged, NotInKernel, ParseError, ShapeMismatch
 from .words import (
-    _FAMILY_RANK,
     M_FAMILIES,
     Symbol,
     TemplateWord,
     Word,
     c,
     lift,
+    m_lift,
     parse_template,
+    print_letter,
     print_template,
     print_word,
     rho,
@@ -188,18 +189,6 @@ def derive_relation(r: Word, m: int = 0, twisted: bool = False) -> Word:
     return base.shift(m)
 
 
-def derive_relation_direct(r: Word, m: int = 0, twisted: bool = False) -> Word:
-    """The expansion route: conjugate in the ambient group, then rewrite.
-
-    Kept deliberately separate from :func:`derive_relation`; the two
-    routes must agree and the test suite holds them to that.
-    """
-    u = Word([(sigma(1), 1)]) ** m
-    if twisted:
-        u = u * Word([(rho(1), 1)])
-    return normalize(rewrite(u * r * u.inverse()))
-
-
 # ---------------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------------
@@ -235,16 +224,17 @@ def _least_rotation(keys: tuple) -> tuple:
     return keys[i:] + keys[:i]
 
 
-def _cyclic_key(keys: tuple) -> tuple:
-    """Least rotation of a cyclic word or of its inverse, given the word's
-    letter keys ``(rank, family, indices, exp)``.
+def _cyclic_key(letters: tuple) -> tuple:
+    """Least rotation of a cyclic word or of its inverse, given its letters
+    as ``(family, indices, exp)`` tuples (index expressions for a
+    template), which Python orders as they stand.
 
     Involution letters are compared with a fixed positive sign, without
     free cancellation of the flipped letters, so that spellings that
     differ only in inverse involution letters collide.
     """
-    fwd = tuple(key[:3] + (1,) if key[1] == "g" else key for key in keys)
-    bwd = tuple(key if key[1] == "g" else key[:3] + (-key[3],) for key in reversed(fwd))
+    fwd = tuple((l[0], l[1], 1) if l[0] == "g" else l for l in letters)
+    bwd = tuple(l if l[0] == "g" else (l[0], l[1], -l[2]) for l in reversed(fwd))
     return min(_least_rotation(fwd), _least_rotation(bwd))
 
 
@@ -253,21 +243,11 @@ def canon_key(w: Word) -> tuple:
     w = w.cyclic_reduce()
     if not w:
         return ()
-    return _cyclic_key(tuple(sym.key() + (exp,) for sym, exp in w))
+    return _cyclic_key(tuple((sym.family, sym.indices, exp) for sym, exp in w))
 
 
 def canon_equal(u: Word, v: Word) -> bool:
     return canon_key(u) == canon_key(v)
-
-
-def _tletter_key(letter) -> tuple:
-    fam, exprs, exp = letter
-    return (
-        _FAMILY_RANK.get(fam, 99),
-        fam,
-        tuple((0, "", off) if var is None else (1, var, off) for var, off in exprs),
-        exp,
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,7 +263,7 @@ def template_canon_key(t: TemplateWord) -> tuple:
         t = t.shift(-min(offs))
     if not t:
         return ()
-    return _cyclic_key(tuple(_tletter_key(l) for l in t.letters))
+    return _cyclic_key(t.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +348,13 @@ def compare_words(engine: Word, stated: Word, group: str) -> tuple[str, str]:
     the catalog, merges their torsion and compares template keys.
     """
     if engine == stated:
-        return ("a", "exact")
+        return "a", "exact"
     if canon_equal(engine, stated):
-        return ("b", "equal-after-normalization")
+        return "b", "equal-after-normalization"
     e, s = (torsion_normalize(catalog_substitutions(lift(w), group)) for w in (engine, stated))
     if template_canon_key(e) == template_canon_key(s):
-        return ("c", "equal-after-normalization")
-    return ("", "MISMATCH")
+        return "c", "equal-after-normalization"
+    return "", "MISMATCH"
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +393,7 @@ def _check_shifts_with_m(label: str, t: TemplateWord) -> None:
         if [var == "m" for var, _ in exprs] != [fam in M_FAMILIES] + [False] * (len(exprs) - 1):
             raise ShapeMismatch(
                 "relator %s does not shift with the window: letter %s"
-                % (label, print_template(TemplateWord(((fam, exprs, exp),))))
+                % (label, print_letter((fam, exprs, exp)))
             )
 
 
@@ -545,8 +525,8 @@ def _conjugation_cases(n: int) -> list[dict]:
     rows = []
     for sym_text, stated_text, domain in presets.CONJUGATION_RULES:
         for bind in domain(n):
-            sym = parse_template(sym_text).bind(**bind).instantiate()[0][0]
-            stated = parse_template(stated_text).bind(**bind).instantiate()
+            sym = parse_template(sym_text).instantiate(**bind)[0][0]
+            stated = parse_template(stated_text).instantiate(**bind)
             engine = rho1_rule(sym)
             params = str(sym)
             if bind:
@@ -619,18 +599,6 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
 # ---------------------------------------------------------------------------
 # Catalog assembly
 # ---------------------------------------------------------------------------
-
-
-def m_lift(w: Word) -> TemplateWord:
-    """Lift a concrete derived word to a template in the window variable."""
-    out = []
-    for sym, exp in w:
-        if sym.family in M_FAMILIES:
-            exprs = (("m", sym.indices[0]),) + tuple((None, i) for i in sym.indices[1:])
-        else:
-            exprs = tuple((None, i) for i in sym.indices)
-        out.append((sym.family, exprs, exp))
-    return TemplateWord(out)
 
 
 def assemble(group: str, n: int) -> presets.Presentation:

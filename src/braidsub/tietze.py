@@ -36,7 +36,7 @@ from . import presets
 from .errors import BadRank, NotSolvable, ScriptPreconditionFailed
 from .presets import FamilyInstance, GeneratorSummary, Presentation, generator_count
 from .rewriting import template_canon_key, torsion_merge
-from .words import TemplateWord, print_template
+from .words import TemplateWord, fixed_indices, print_template
 
 # ---------------------------------------------------------------------------
 # Presentation surgery helpers
@@ -87,15 +87,6 @@ def _block(p: Presentation, family: str, fixed: tuple) -> int:
     raise ScriptPreconditionFailed("no generator family %s%s" % (family, fixed))
 
 
-def _target_letters(t: TemplateWord, family: str, fixed: tuple) -> list[int]:
-    want = tuple((None, v) for v in fixed)
-    out = []
-    for idx, (fam, exprs, _) in enumerate(t.letters):
-        if fam == family and exprs[1:] == want:
-            out.append(idx)
-    return out
-
-
 def _offset(letter) -> int:
     _, exprs, _ = letter
     var, off = exprs[0]
@@ -134,7 +125,7 @@ def _solved_form(t: TemplateWord, family: str, fixed: tuple) -> tuple[TemplateWo
     Returns the replacement template aligned to a plain ``m`` target and
     the window offset at which the target sits in the defining template.
     """
-    hits = _target_letters(t, family, fixed)
+    hits = t.target_letters(family, fixed)
     if len(hits) != 1:
         raise NotSolvable(
             "%s%s occurs %d times in %s"
@@ -159,7 +150,7 @@ def eliminate_family(p: Presentation, family: str, fixed: tuple, via: str):
     """Remove a generator family, rewriting it through a defining relator."""
     inst = _relator(p, via)
     replacement, _ = _solved_form(inst.template, family, fixed)
-    if _target_letters(replacement, family, fixed):
+    if replacement.target_letters(family, fixed):
         raise NotSolvable("solved form still mentions %s%s" % (family, fixed))
     rels = []
     for other in p.relators:
@@ -183,7 +174,7 @@ def eliminate_family(p: Presentation, family: str, fixed: tuple, via: str):
 
 
 def _seed_span(t: TemplateWord, family: str, fixed: tuple) -> int:
-    offs = [_offset(t.letters[i]) for i in _target_letters(t, family, fixed)]
+    offs = [_offset(t.letters[i]) for i in t.target_letters(family, fixed)]
     if len(offs) < 2:
         raise NotSolvable("recurrence must mention the family at two offsets")
     lo, hi = min(offs), max(offs)
@@ -203,7 +194,7 @@ def reduce_family_to_seeds(p: Presentation, family: str, fixed: tuple, via: str)
     """
     t = _relator(p, via).template
     span = _seed_span(t, family, fixed)
-    targets = set(_target_letters(t, family, fixed))
+    targets = set(t.target_letters(family, fixed))
     for idx, (fam, exprs, _) in enumerate(t.letters):
         if idx in targets:
             continue
@@ -211,9 +202,7 @@ def reduce_family_to_seeds(p: Presentation, family: str, fixed: tuple, via: str)
             (
                 cand
                 for cand in p.generators
-                if cand.family == fam
-                and tuple((None, v) for v in cand.fixed)
-                == tuple(exprs[1:] if cand.windowed else exprs)
+                if cand.family == fam and cand.fixed == fixed_indices(exprs[1:] if cand.windowed else exprs)
             ),
             None,
         )
@@ -320,24 +309,21 @@ def flip_g_letter(p: Presentation, label: str, occurrence: int = 0):
 def braid_flip(p: Presentation, label: str):
     """Rewrite the first g f^e g subword (strand 3) into f^-e g f^-e."""
     t = _relator(p, label).template
-    found = None
-    for i in range(len(t.letters) - 2):
-        l0, l1, l2 = t.letters[i], t.letters[i + 1], t.letters[i + 2]
-        if (
-            l0[0] == "g"
-            and l2[0] == "g"
-            and l0 == l2
-            and l0[2] == 1
-            and l0[1][1] == (None, 3)
-            and l1[0] == "f"
-            and l1[1][0] == l0[1][0]
-            and l1[1][1] == (None, 0)
-        ):
-            found = i
-            break
-    if found is None:
+    f_spots = set(t.target_letters("f", (0,)))
+    i = next(
+        (
+            i
+            for i in t.target_letters("g", (3,))
+            if i + 2 < len(t.letters)
+            and t.letters[i + 2] == t.letters[i]
+            and t.letters[i][2] == 1
+            and i + 1 in f_spots
+            and t.letters[i + 1][1][0] == t.letters[i][1][0]
+        ),
+        None,
+    )
+    if i is None:
         raise ScriptPreconditionFailed("%s has no g f g subword on strand 3" % label)
-    i = found
     off = _offset(t.letters[i])
     e = t.letters[i + 1][2]
     braid = _fg_braid(off)
@@ -398,7 +384,7 @@ def rewrite_letter(
     must contain it exactly once as well.
     """
     def at_offset(w: TemplateWord) -> list[int]:
-        return [i for i in _target_letters(w, family, fixed) if _offset(w.letters[i]) == offset]
+        return [i for i in w.target_letters(family, fixed) if _offset(w.letters[i]) == offset]
 
     t = _relator(p, label).template
     vt = _relator(p, via).template.shift(via_shift)

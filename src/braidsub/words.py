@@ -11,6 +11,12 @@ A :class:`TemplateWord` is the parametric variant: its index slots hold
 affine expressions in a formal window variable ``m`` (plus optional
 auxiliary names such as ``i`` or ``j``), and it instantiates to words.
 
+A template letter is ``(family, exprs, exp)``, one ``(var, offset)`` per
+index slot and ``var`` ``""`` for a constant: a tuple of strings and ints
+that Python orders as it stands, so letters are their own keys in
+canonical forms.  Other modules read the format through
+``TemplateWord.target_letters``, ``fixed_indices`` and ``print_letter``.
+
 Word syntax, shared by the parser and printer::
 
     s3 r1^-1 a(-2) b(0,1)^-1 c(3) f(2,0) g(0,4)
@@ -44,9 +50,6 @@ FAMILIES = {
 
 M_FAMILIES = ("a", "b", "f", "g")
 
-# Fixed family order used by canonical forms and printers.
-_FAMILY_RANK = {"a": 0, "b": 1, "c": 2, "f": 3, "g": 4, "sigma": 5, "rho": 6}
-
 
 def _validate(family: str, indices: tuple) -> None:
     arity = FAMILIES.get(family)
@@ -74,9 +77,6 @@ class Symbol:
 
     def __post_init__(self) -> None:
         _validate(self.family, self.indices)
-
-    def key(self) -> tuple:
-        return (_FAMILY_RANK.get(self.family, 99), self.family, self.indices)
 
     def __str__(self) -> str:
         if self.family == "sigma":
@@ -223,10 +223,25 @@ def word(*letters) -> Word:
 # Parametric templates
 # ---------------------------------------------------------------------------
 
-# An index expression is (var, offset) with var None for a plain integer.
+# An index expression is (var, offset) with var "" for a plain integer;
+# "" sorts before every variable name, as None could not.
 IndexExpr = tuple
 
 TLetter = tuple  # (family, tuple[IndexExpr, ...], exp)
+
+
+def _constants(values: Iterable[int]) -> tuple[IndexExpr, ...]:
+    return tuple(("", v) for v in values)
+
+
+def fixed_indices(exprs: tuple[IndexExpr, ...]) -> Optional[tuple[int, ...]]:
+    """The integers of index expressions that are all constant, else None."""
+    out = []
+    for var, off in exprs:
+        if var:
+            return None
+        out.append(off)
+    return tuple(out)
 
 
 def _treduce(letters: Iterable[TLetter]) -> tuple[TLetter, ...]:
@@ -241,7 +256,7 @@ def _treduce(letters: Iterable[TLetter]) -> tuple[TLetter, ...]:
 
 def _expr_str(expr: IndexExpr) -> str:
     var, off = expr
-    if var is None:
+    if not var:
         return str(off)
     if off == 0:
         return var
@@ -315,9 +330,7 @@ class TemplateWord:
         except AttributeError:
             raw = {(fam, exprs[1:]) for fam, exprs, _ in self.letters}
             out = frozenset(
-                (fam, tuple(v for _, v in rest))
-                for fam, rest in raw
-                if all(var is None for var, _ in rest)
+                (fam, fixed) for fam, rest in raw if (fixed := fixed_indices(rest)) is not None
             )
             object.__setattr__(self, "_blocks", out)
             return out
@@ -326,7 +339,7 @@ class TemplateWord:
         out: set[str] = set()
         for _, exprs, _ in self.letters:
             for var, _ in exprs:
-                if var is not None:
+                if var:
                     out.add(var)
         return out
 
@@ -355,8 +368,8 @@ class TemplateWord:
         for fam, exprs, exp in self.letters:
             new = []
             for var, off in exprs:
-                if var is not None and var in values:
-                    new.append((None, values[var] + off))
+                if var and var in values:
+                    new.append(("", values[var] + off))
                 else:
                     new.append((var, off))
             out.append((fam, tuple(new), exp))
@@ -371,7 +384,7 @@ class TemplateWord:
             raise ParametricInput("unbound template variables: %s" % ", ".join(sorted(missing)))
         out = []
         for fam, exprs, exp in self.letters:
-            idx = tuple(off if var is None else values[var] + off for var, off in exprs)
+            idx = tuple(values[var] + off if var else off for var, off in exprs)
             out.append((Symbol(fam, idx), exp))
         return Word(out)
 
@@ -404,7 +417,7 @@ class TemplateWord:
             raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
         if (family, fixed) not in self.blocks():
             return self
-        want = tuple((None, v) for v in fixed)
+        want = _constants(fixed)
         rep_inv = replacement.inverse()
         out: list[TLetter] = []
         for fam, exprs, exp in self.letters:
@@ -413,7 +426,7 @@ class TemplateWord:
                 chosen = replacement if exp == 1 else rep_inv
                 if var == "m":
                     rep = chosen.shift(off)
-                elif var is None:
+                elif not var:
                     rep = chosen.bind(m=off)
                 else:
                     raise ParametricInput("cannot align a substitution to index %s" % _expr_str(exprs[0]))
@@ -422,6 +435,12 @@ class TemplateWord:
                 out.append((fam, exprs, exp))
         return TemplateWord(out)
 
+    def target_letters(self, family: str, fixed: tuple) -> list[int]:
+        """Positions of the letters of the block (family, fixed): the
+        family's letters whose trailing slots hold the constants ``fixed``."""
+        want = _constants(fixed)
+        return [i for i, (fam, exprs, _) in enumerate(self.letters) if fam == family and exprs[1:] == want]
+
     def m_offsets(self) -> list[int]:
         """Offsets of the window variable in first slots."""
         return [exprs[0][1] for _, exprs, _ in self.letters if exprs and exprs[0][0] == "m"]
@@ -429,9 +448,20 @@ class TemplateWord:
 
 def lift(w: Word) -> TemplateWord:
     """View a concrete word as a template with constant indices."""
-    return TemplateWord(
-        tuple((sym.family, tuple((None, i) for i in sym.indices), exp) for sym, exp in w.letters)
-    )
+    return TemplateWord(tuple((sym.family, _constants(sym.indices), exp) for sym, exp in w.letters))
+
+
+def m_lift(w: Word) -> TemplateWord:
+    """Lift a concrete derived word to a template in the window variable:
+    the first slot of every a/b/f/g letter becomes an offset of m."""
+    out = []
+    for sym, exp in w.letters:
+        if sym.family in M_FAMILIES:
+            exprs = (("m", sym.indices[0]),) + _constants(sym.indices[1:])
+        else:
+            exprs = _constants(sym.indices)
+        out.append((sym.family, exprs, exp))
+    return TemplateWord(out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +478,7 @@ def _parse_expr(text: str) -> IndexExpr:
     if m is None:
         raise ParseError("bad index expression %r" % text)
     if m.group(1) is not None:
-        return (None, int(m.group(1)))
+        return ("", int(m.group(1)))
     return (m.group(2), int(m.group(3) or 0))
 
 
@@ -462,7 +492,7 @@ def _parse_token(token: str) -> TLetter:
     m = _SHORT_RE.match(token)
     if m is not None:
         fam = "sigma" if m.group(1) == "s" else "rho"
-        return (fam, ((None, int(m.group(2))),), exp)
+        return (fam, (("", int(m.group(2))),), exp)
     m = _NAME_RE.match(token)
     if m is None:
         raise ParseError("bad letter %r" % token)
@@ -470,7 +500,7 @@ def _parse_token(token: str) -> TLetter:
     parts = [p for p in m.group(2).split(",") if p.strip() != ""]
     exprs = tuple(_parse_expr(p) for p in parts)
     if fam == "f" and len(exprs) == 1:
-        exprs = exprs + ((None, 0),)
+        exprs = exprs + (("", 0),)
     arity = FAMILIES.get(fam)
     if arity is not None and len(exprs) != arity:
         raise ParseError("family %r takes %d indices, got %d in %r" % (fam, arity, len(exprs), token))
@@ -502,18 +532,19 @@ def print_template(t: TemplateWord) -> str:
 
 
 def _print_letters(letters: tuple) -> str:
-    if not letters:
-        return "1"
-    toks = []
-    for fam, exprs, exp in letters:
-        if fam == "sigma":
-            body = "s%s" % _expr_str(exprs[0])
-        elif fam == "rho":
-            body = "r%s" % _expr_str(exprs[0])
-        else:
-            body = "%s(%s)" % (fam, ",".join(_expr_str(e) for e in exprs))
-        toks.append(body if exp == 1 else body + "^-1")
-    return " ".join(toks)
+    return " ".join(map(print_letter, letters)) if letters else "1"
+
+
+def print_letter(letter: TLetter) -> str:
+    """The text of one template letter."""
+    fam, exprs, exp = letter
+    if fam == "sigma":
+        body = "s%s" % _expr_str(exprs[0])
+    elif fam == "rho":
+        body = "r%s" % _expr_str(exprs[0])
+    else:
+        body = "%s(%s)" % (fam, ",".join(_expr_str(e) for e in exprs))
+    return body if exp == 1 else body + "^-1"
 
 
 def print_word(w: Word) -> str:

@@ -21,7 +21,6 @@ from braidsub.cosets import (
     phi,
     representative,
     schreier_generator,
-    schreier_generator_strict,
     step,
 )
 from braidsub.errors import ForeignSymbol, TrivialSymbol
@@ -46,6 +45,14 @@ def rep_letters(i, e):
     out = [(sigma(1), 1 if i > 0 else -1)] * abs(i)
     if e:
         out.append((rho(1), 1))
+    return out
+
+
+def schreier_generator_strict(coset, sym):
+    """Oracle: ``schreier_generator``, with a trivial slot raising."""
+    out = schreier_generator(coset, sym)
+    if out is None:
+        raise TrivialSymbol("no subgroup generator at %s for %s" % (coset, sym))
     return out
 
 

@@ -24,6 +24,7 @@ from braidsub.presets import (
     WELDED_FAMILIES,
     WELDED_SPELLINGS,
     ambient_families,
+    ambient_relator_families,
     ambient_presentation,
     braid_reduced_presentation,
     check_rank,
@@ -455,3 +456,20 @@ def test_family_template_is_parsed_once():
     assert print_template(fam.template) == fam.text
     # the cached parse leaves the dataclass's equality and hash alone
     assert hash(fam) == before and fam == CATALOG_FAMILIES["f-cube"]
+
+
+def test_instantiate_with_aux_values_equals_bind_then_instantiate():
+    # the one-pass instantiate that ambient_family, ambient_presentation
+    # and the conjugation cases use, against binding first
+    for group in ("vb", "wb"):
+        for n in range(2, 13):
+            for fam in ambient_relator_families(group):
+                for aux in fam.domain(n):
+                    assert fam.template.instantiate(**aux) == fam.template.bind(**aux).instantiate()
+            if n < 3:
+                continue
+            for fam in main_families(group):
+                for aux in fam.domain(n):
+                    for m in (-2, 0, 3):
+                        t = fam.template
+                        assert t.instantiate(m, **aux) == t.bind(**aux).instantiate(m=m)

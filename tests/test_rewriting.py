@@ -38,10 +38,8 @@ from braidsub.rewriting import (
     compare_catalog,
     compare_words,
     derive_relation,
-    derive_relation_direct,
     expand_raw,
     expand_word,
-    m_lift,
     normalize,
     rewrite,
     rewrite_slots,
@@ -52,9 +50,8 @@ from braidsub.rewriting import (
     twist,
     verify_lemma,
 )
-from braidsub.tietze import torsion_reduce_relator
+from braidsub.tietze import SCRIPTS, run_script, torsion_reduce_relator
 from braidsub.words import (
-    _FAMILY_RANK,
     M_FAMILIES,
     Symbol,
     TemplateWord,
@@ -65,6 +62,7 @@ from braidsub.words import (
     f,
     g,
     lift,
+    m_lift,
     parse_template,
     parse_word,
     print_template,
@@ -318,6 +316,15 @@ def test_twist_is_multiplicative(u, v):
     assert twist(wu * wv) == twist(wu) * twist(wv)
 
 
+def derive_relation_direct(r, m=0, twisted=False):
+    """Oracle: the expansion route, conjugating in the ambient group and
+    then rewriting; :func:`derive_relation` rewrites first and shifts."""
+    u = Word([(sigma(1), 1)]) ** m
+    if twisted:
+        u = u * Word([(rho(1), 1)])
+    return normalize(rewrite(u * r * u.inverse()))
+
+
 def test_derivation_routes_agree():
     # Untwisted, the symbol route (rewrite then shift) must agree exactly
     # with the direct route (conjugate then rewrite) on every case: that
@@ -400,7 +407,7 @@ def brute_cyclic_key(letters, key):
     inverse = tuple(l[:-1] + (-l[-1],) for l in reversed(letters))
     best = None
     for base in (letters, inverse):
-        base = tuple(l[:-1] + (1,) if key(l)[1] == "g" else l for l in base)
+        base = tuple(l[:-1] + (1,) if key(l)[0] == "g" else l for l in base)
         for k in range(len(base)):
             cand = tuple(key(l) for l in base[k:] + base[:k])
             if best is None or cand < best:
@@ -409,7 +416,7 @@ def brute_cyclic_key(letters, key):
 
 
 def brute_canon_key(w):
-    return brute_cyclic_key(w.cyclic_reduce().letters, lambda l: l[0].key() + (l[1],))
+    return brute_cyclic_key(w.cyclic_reduce().letters, lambda l: (l[0].family, l[0].indices, l[1]))
 
 
 def brute_template_key(t):
@@ -420,13 +427,45 @@ def brute_template_key(t):
     offs = t.m_offsets()
     if offs:
         letters = t.shift(-min(offs)).letters
+    return brute_cyclic_key(letters, lambda l: l)
 
-    def key(l):
-        fam, exprs, exp = l
-        ekeys = tuple((0, "", off) if var is None else (1, var, off) for var, off in exprs)
-        return (_FAMILY_RANK.get(fam, 99), fam, ekeys, exp)
 
-    return brute_cyclic_key(letters, key)
+# The letter keys that template_canon_key compared before a constant slot
+# was spelled ("", v): a family rank, and a tag putting constants before
+# variables.  Kept to show that the letters as they stand cut templates
+# into the same key classes.
+_FAMILY_RANK = {"a": 0, "b": 1, "c": 2, "f": 3, "g": 4, "sigma": 5, "rho": 6}
+
+
+def _tletter_key(letter):
+    fam, exprs, exp = letter
+    return (
+        _FAMILY_RANK.get(fam, 99),
+        fam,
+        tuple((0, "", off) if var == "" else (1, var, off) for var, off in exprs),
+        exp,
+    )
+
+
+def rank_template_key(t):
+    """Oracle: template_canon_key over the rank-based letter keys."""
+    t = t.cyclic_reduce()
+    offs = t.m_offsets()
+    if offs:
+        t = t.shift(-min(offs))
+    if not t:
+        return ()
+    keys = tuple(_tletter_key(l) for l in t.letters)
+    fwd = tuple(key[:3] + (1,) if key[1] == "g" else key for key in keys)
+    bwd = tuple(key if key[1] == "g" else key[:3] + (-key[3],) for key in reversed(fwd))
+    return min(rewriting._least_rotation(fwd), rewriting._least_rotation(bwd))
+
+
+def assert_same_key_classes(templates):
+    """The two keys cut the templates into the same classes: each key of
+    one kind goes with exactly one key of the other."""
+    pairs = {(rank_template_key(t), template_canon_key(t)) for t in templates}
+    assert len(pairs) == len({old for old, _ in pairs}) == len({new for _, new in pairs})
 
 
 # Periodic words u^k are the hard case for the least-rotation scan.
@@ -436,13 +475,15 @@ periodic_subgroup_words = st.builds(
 
 TEMPLATE_POOL = [
     ("a", (("m", -1),)),
-    ("b", (("m", 0), (None, 1))),
-    ("c", ((None, 3),)),
-    ("f", (("m", 0), (None, 0))),
-    ("f", (("m", 1), (None, 0))),
-    ("f", ((None, 2), (None, 0))),
-    ("g", (("m", 0), (None, 3))),
+    ("b", (("m", 0), ("", 1))),
+    ("c", (("", 3),)),
+    ("f", (("m", 0), ("", 0))),
+    ("f", (("m", 1), ("", 0))),
+    ("f", (("", 2), ("", 0))),
+    ("g", (("m", 0), ("", 3))),
     ("g", (("m", 2), ("i", 0))),
+    ("sigma", (("", 2),)),
+    ("rho", (("", 1),)),
 ]
 
 periodic_templates = st.builds(
@@ -474,6 +515,39 @@ conjugated_templates = st.builds(
 @given(periodic_templates | conjugated_templates)
 def test_template_canon_key_matches_brute_force_rotations(t):
     assert template_canon_key(t) == brute_template_key(t)
+
+
+def _flip_g_signs(t, mask):
+    return TemplateWord(
+        l[:2] + (-l[2],) if l[0] == "g" and mask >> (i % 8) & 1 else l for i, l in enumerate(t.letters)
+    )
+
+
+@given(
+    st.lists(periodic_templates | conjugated_templates, min_size=1, max_size=4),
+    st.integers(-5, 5),
+    st.integers(0, 255),
+)
+def test_native_letter_order_keeps_the_rank_key_classes(bases, k, mask):
+    # each base with a rotation, a shift, its inverse and g signs flipped:
+    # templates that share a key class with it under both keys
+    templates = []
+    for t in bases:
+        templates += [t, t.rotate(k), t.shift(k), t.inverse(), _flip_g_signs(t, mask)]
+    assert_same_key_classes(templates)
+
+
+def test_native_letter_order_keeps_the_rank_key_classes_of_the_scripts():
+    # every relator of every presentation in the transcripts the output
+    # snapshots hash
+    runs = [(name, None) for name, (_, _, only, _, _) in SCRIPTS.items() if only]
+    runs += [("VBN_REDUCE", 10), ("WBN_REDUCE", 8), ("WBN_REDUCE", 12)]
+    templates = []
+    for name, n in runs:
+        res = run_script(name, n)
+        for p in [res.initial] + [p for _, p in res.steps]:
+            templates += [inst.template for inst in p.relators]
+    assert_same_key_classes(templates)
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=5), st.integers(1, 40), st.integers(0, 200))
@@ -683,12 +757,12 @@ def test_one_table_pass_is_a_fixed_point(letters, group):
 
 
 MERGE_POOL = [
-    ("f", (("m", 0), (None, 0))),
-    ("f", (("m", 1), (None, 0))),
-    ("g", (("m", 0), (None, 3))),
-    ("g", ((None, 2), (None, 4))),
+    ("f", (("m", 0), ("", 0))),
+    ("f", (("m", 1), ("", 0))),
+    ("g", (("m", 0), ("", 3))),
+    ("g", (("", 2), ("", 4))),
     ("a", (("m", 0),)),
-    ("a", ((None, 1),)),
+    ("a", (("", 1),)),
 ]
 
 merge_letters = st.lists(
@@ -703,7 +777,7 @@ merge_letters = st.lists(
 def test_torsion_merge_matches_fixed_point_loop(letters):
     got = torsion_merge(tuple(letters))
     assert got == loop_torsion_merge(tuple(letters))
-    assert ("g", (("m", 0), (None, 3)), -1) not in got
+    assert ("g", (("m", 0), ("", 3)), -1) not in got
 
 
 def test_verify_lemma_shapes():
@@ -1004,7 +1078,7 @@ def test_assemble_can_keep_the_square_bit():
     p = assemble("vb", 4)
     assert ("f", (1,)) not in {(gen.family, gen.fixed) for gen in p.generators}
     for inst in p.relators:
-        assert not any(fam == "f" and exprs[1:] == ((None, 1),) for fam, exprs, _ in inst.template)
+        assert not any(fam == "f" and exprs[1:] == (("", 1),) for fam, exprs, _ in inst.template)
     assert not any(inst.label.startswith("symmetric-involution[i=2]") for inst in p.relators)
 
 

@@ -67,7 +67,7 @@ def test_solve_for_contract():
                        for fam, exprs, _ in w.letters)
     t = parse_template("f(m,0) a(m) f(m+1,0)^-1 b(m,1)^-1")
     w = solve_for(t, "b", (1,))
-    target = TemplateWord((("b", (("m", 0), (None, 1)), 1),))
+    target = TemplateWord((("b", (("m", 0), ("", 1)), 1),))
     assert template_canon_key(target * w.inverse()) == template_canon_key(t)
 
 
@@ -86,7 +86,7 @@ def test_eliminate_family_basics():
     assert all(not (g.family == "b" and g.fixed == (1,)) for g in p1.generators)
     for inst in p1.relators:
         for fam, exprs, _ in inst.template.letters:
-            assert not (fam == "b" and exprs[1] == (None, 1))
+            assert not (fam == "b" and exprs[1] == ("", 1))
     assert any(
         fam == "b"
         for inst in p1.relators
@@ -107,7 +107,7 @@ def _substitute_family_full_scan(self, family, fixed, replacement):
     """TemplateWord.substitute_family as a full scan: every template is
     rebuilt, and the replacement inverted, whether the family occurs in
     it or not."""
-    want = tuple((None, v) for v in fixed)
+    want = tuple(("", v) for v in fixed)
     for fam, exprs, _ in replacement.letters:
         if fam == family and exprs[1:] == want:
             raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
@@ -119,7 +119,7 @@ def _substitute_family_full_scan(self, family, fixed, replacement):
             chosen = replacement if exp == 1 else rep_inv
             if var == "m":
                 rep = chosen.shift(off)
-            elif var is None:
+            elif var == "":
                 rep = chosen.bind(m=off)
             else:
                 raise ParametricInput("cannot align a substitution to index %s" % (exprs[0],))

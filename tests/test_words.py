@@ -22,9 +22,12 @@ from braidsub.words import (
     c,
     f,
     g,
+    fixed_indices,
     lift,
+    m_lift,
     parse_template,
     parse_word,
+    print_letter,
     print_template,
     print_word,
     rho,
@@ -204,6 +207,16 @@ def test_template_rotate_is_cyclic():
     assert t.rotate(3) == t
 
 
+def test_constant_slots_are_empty_names_and_letters_order_natively():
+    t = parse_template("g(m,3) f(2) s1 c(4)^-1 a(i-1)")
+    assert t.letters[1] == ("f", (("", 2), ("", 0)), 1)
+    assert t.letters[2] == ("sigma", (("", 1),), 1)
+    assert [l[0] for l in sorted(t.letters)] == ["a", "c", "f", "g", "sigma"]
+    assert [print_letter(l) for l in t.letters] == print_template(t).split()
+    assert t.target_letters("g", (3,)) == [0] and t.target_letters("f", (2, 0)) == []
+    assert fixed_indices(t.letters[1][1]) == (2, 0) and fixed_indices(t.letters[4][1]) is None
+
+
 def test_lift_round_trip():
     # lift() is the all-constant view; it never moves under shift
     w = parse_word("a(2) f(-1,0)^-1 c(3)")
@@ -222,16 +235,14 @@ subgroup_letters_st = st.lists(
 @settings(max_examples=50)
 @given(subgroup_letters_st, st.integers(min_value=-4, max_value=4))
 def test_m_lift_shift_instantiate_commute(letters, k):
-    from braidsub.rewriting import m_lift
-
     w = Word(letters)
     assert m_lift(w).shift(k).instantiate(m=0) == w.shift(k)
 
 
 # random templates: affine first slots in m, constants and an auxiliary
 # variable; trailing slots constant, auxiliary or (rarely used) m
-SLOT0 = [("m", -1), ("m", 0), ("m", 2), (None, 0), (None, 3), ("i", 1)]
-TAIL = [(None, 0), (None, 1), (None, 3), ("j", 0), ("m", 1)]
+SLOT0 = [("m", -1), ("m", 0), ("m", 2), ("", 0), ("", 3), ("i", 1)]
+TAIL = [("", 0), ("", 1), ("", 3), ("j", 0), ("m", 1)]
 signs_st = st.sampled_from([-1, 1])
 tletter_st = st.one_of(
     st.tuples(st.sampled_from(["a", "c"]), st.tuples(st.sampled_from(SLOT0)), signs_st),
@@ -240,7 +251,7 @@ tletter_st = st.one_of(
         st.tuples(st.sampled_from(SLOT0), st.sampled_from(TAIL)),
         signs_st,
     ),
-    st.tuples(st.just("sigma"), st.tuples(st.sampled_from([(None, 1), (None, 2)])), signs_st),
+    st.tuples(st.just("sigma"), st.tuples(st.sampled_from([("", 1), ("", 2)])), signs_st),
 )
 templates_st = st.lists(tletter_st, max_size=30).map(TemplateWord)
 
@@ -254,14 +265,20 @@ def test_template_caches_match_uncached_oracles(t, k):
     assert print_template(t) == text
     assert parse_template(text) == t
     assert hash(t) == hash(t.letters) == hash(TemplateWord(t.letters))
-    # the block set against a scan of the letters, both ways
+    assert text == " ".join(print_letter(l) for l in t.letters) or text == "1"
+    # the block set and each block's letters against a scan of the
+    # letters, both ways
     blocks = t.blocks()
     for fam, exprs, _ in t.letters:
-        if all(var is None for var, _ in exprs[1:]):
+        if all(var == "" for var, _ in exprs[1:]):
             assert (fam, tuple(v for _, v in exprs[1:])) in blocks
+            assert fixed_indices(exprs[1:]) == tuple(v for _, v in exprs[1:])
+        else:
+            assert fixed_indices(exprs[1:]) is None
     for family, fixed in blocks:
-        want = tuple((None, v) for v in fixed)
-        assert any(fam == family and exprs[1:] == want for fam, exprs, _ in t.letters)
+        want = tuple(("", v) for v in fixed)
+        spots = [i for i, (fam, exprs, _) in enumerate(t.letters) if fam == family and exprs[1:] == want]
+        assert spots and t.target_letters(family, fixed) == spots
     # shift and inverse skip free reduction: their letters are reduced
     # already, and shift moves exactly the m slots
     moved, inv = t.shift(k), t.inverse()
