@@ -6,24 +6,26 @@ builder turns a parametric presentation into abelianized relator rows:
 over a window (the window plus the block's trim), `presets.span` reads
 from each template's letter offsets the interval of m it fits into (the
 window rule that `presets.instantiate` and the catalog comparison read
-too), and `_rows` writes one sparse row per instance, keyed by (family,
-fixed, index) columns.  The sparse core `_invariants` reads the
-invariants of such rows by unit-pivot
-elimination: zero rows and rows equal to another row or its negation are
-dropped, and each +-1 pivot removes one row and one column as one unit
-invariant factor (Havas, Holt and Rees 1993; Havas, Majewski and Matthews
-1998).  Pivots come off a min-heap of +-1 entries ordered by the
-Markowitz fill-in bound; a popped entry is checked again and pushed back
-when its cost has grown, and every row a pivot changes pushes fresh
-entries, so no pivot search rescans the matrix.  Only the rows of the
-small remainder that differ up to sign go through `snf`, the dense Smith
-normal form that also returns the unimodular certificates U and V.  The
-window profiles and the step-by-step truncation comparison for
-simplification scripts both use this builder; after every script step
-the truncated abelianization must present the same group, once the kept
-instances are matched between the two sides.  `presets.instantiate`
-followed by the dense `relation_matrix` spells out the same rows letter
-by letter and is the builder's oracle.
+too), and `_rows` sums each template's exponents per column once, then
+writes one sparse row per instance, keyed by (family, fixed, index)
+columns.  The sparse core `_invariants` reads the invariants of such
+rows by unit-pivot elimination: zero rows and rows equal to another row
+or its negation are dropped, and each +-1 pivot removes one row and one
+column as one unit invariant factor (Havas, Holt and Rees 1993; Havas,
+Majewski and Matthews 1998).  Pivots come off a min-heap that holds one
+entry per live row, priced by the Markowitz fill-in bound of the row's
+cheapest +-1 entry; a popped entry is priced again and pushed back when
+its cost has grown, and a row a pivot changes pushes one fresh entry, so
+no pivot search rescans the matrix.  Only the rows of the small
+remainder that differ up to sign go through `snf`, the Smith normal form
+that also returns the unimodular certificates U and V; it keeps U's rows
+and V's columns sparse until it returns them.  The window profiles and
+the step-by-step truncation comparison for simplification scripts both
+use this builder; after every script step the truncated abelianization
+must present the same group, once the kept instances are matched between
+the two sides.  `presets.instantiate` followed by the dense
+`relation_matrix` spells out the same rows letter by letter and is the
+builder's oracle.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ Matrix = list[list[int]]
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def snf(matrix: Sequence[Sequence[int]]) -> tuple[list[int], Matrix, Matrix]:
     """Diagonalize an integer matrix: returns (diagonal, U, V).
 
@@ -60,8 +58,19 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[list[int], Matrix, Matrix]:
     for row in a:
         if len(row) != cols:
             raise ShapeMismatch("ragged matrix")
-    u = _identity(rows)
-    v = _identity(cols)
+    # U's rows and V's columns start as the identity and stay sparse, so
+    # they are dicts {index: entry} until the return
+    u = [{i: 1} for i in range(rows)]
+    v = [{j: 1} for j in range(cols)]
+
+    def add(dst, src, q):
+        # q != 0, so an entry that cancels was present
+        for k, y in src.items():
+            x = dst.get(k, 0) + q * y
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -70,34 +79,37 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[list[int], Matrix, Matrix]:
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
 
     def add_row(i, j, q):
         # row i += q * row j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if q:
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            add(u[i], u[j], q)
 
     def add_col(i, j, q):
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
+        if q:
+            for row in a:
+                row[i] += q * row[j]
+            add(v[i], v[j], q)
 
     t = 0
     while t < rows and t < cols:
-        piv = None
+        # the first entry in row-major order of least absolute value
+        least = piv = 0
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+            x = min(map(abs, filter(None, a[i][t:])), default=0)
+            if x and (not least or x < least):
+                least, piv = x, i
+                if x == 1:
+                    break
+        if not least:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
+        if piv != t:
+            swap_rows(t, piv)
+        j = next(j for j in range(t, cols) if abs(a[t][j]) == least)
+        if j != t:
+            swap_cols(t, j)
         while True:
             moved = False
             for i in range(rows):
@@ -134,9 +146,19 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[list[int], Matrix, Matrix]:
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
+            u[i] = {k: -x for k, x in u[i].items()}
     diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, u, v
+
+    def dense(vectors, n):
+        out = []
+        for vec in vectors:
+            row = [0] * n
+            for k, x in vec.items():
+                row[k] = x
+            out.append(row)
+        return out
+
+    return diag, dense(u, rows), [list(row) for row in zip(*dense(v, cols))]
 
 
 def invariants(matrix: Sequence[Sequence[int]], cols: Optional[int] = None) -> dict:
@@ -171,43 +193,64 @@ def _invariants(vectors: Iterable[dict], cols: int) -> dict:
 
     rows: dict[int, dict] = {}
     colrows: dict[int, set] = {}
-    ids: dict = {}  # column key -> int, so heap entries only ever compare ints
+    ids: dict = {}  # column key -> int, which hashes faster than the key
     seen = set()
     for vec in vectors:
-        key = frozenset(vec.items())
-        # a row and its negation state the same relation
-        if key and key not in seen and frozenset((j, -x) for j, x in vec.items()) not in seen:
+        if not vec:
+            continue
+        for j in vec:
+            if j not in ids:
+                colrows[len(ids)] = set()
+                ids[j] = len(ids)
+        row = {ids[j]: x for j, x in vec.items()}
+        # a row and its negation state the same relation: the key takes
+        # the sign that makes the entry in the first column positive
+        key = frozenset(row.items() if row[min(row)] > 0 else ((c, -x) for c, x in row.items()))
+        if key not in seen:
             seen.add(key)
             r = len(rows)
-            rows[r] = row = {}
-            for j, x in vec.items():
-                c = ids.setdefault(j, len(ids))
-                row[c] = x
-                colrows.setdefault(c, set()).add(r)
+            rows[r] = row
+            for c in row:
+                colrows[c].add(r)
     del seen, ids  # free the dedupe keys and column ids before the heap is built
 
-    # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in.
-    # The heap holds a candidate per +-1 entry; a cost goes stale when its
-    # row or column changes, so each popped candidate is checked again.
-    def candidates(r):
-        row = rows[r]
+    # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in
+    # of a pivot.  The heap holds one entry per live row, priced by its
+    # cheapest +-1 entry; a price goes stale when the row or one of its
+    # columns changes, so each popped entry is priced again.
+    def price(row):
+        """(cost, column) of the row's cheapest +-1 pivot, or None."""
+        best = None
         for c, x in row.items():
             if x == 1 or x == -1:
-                yield (len(row) - 1) * (len(colrows[c]) - 1), r, c
+                count = len(colrows[c])
+                if best is None or count < best[0]:
+                    best = count, c
+        return best and ((len(row) - 1) * (best[0] - 1), best[1])
 
-    heap = [entry for r in rows for entry in candidates(r)]
+    queued = {}  # live row -> the cost of its heap entry
+    for r, row in rows.items():
+        priced = price(row)
+        if priced:
+            queued[r] = priced[0]
+    heap = [(cost, r) for r, cost in queued.items()]
     heapq.heapify(heap)
     units = 0
     while heap:
-        cost, p, c = heapq.heappop(heap)
-        prow = rows.get(p)
-        if prow is None or prow.get(c) not in (1, -1):
+        cost, p = heapq.heappop(heap)
+        if queued.get(p) != cost:
+            continue  # the row is gone or has a newer entry
+        priced = price(rows[p])
+        if priced is None:
+            del queued[p]
             continue
-        now = (len(prow) - 1) * (len(colrows[c]) - 1)
+        now, c = priced
         if now > cost:
-            heapq.heappush(heap, (now, p, c))
+            queued[p] = now
+            heapq.heappush(heap, (now, p))
             continue
-        del rows[p]
+        del queued[p]
+        prow = rows.pop(p)
         for j in prow:
             colrows[j].discard(p)
         changed = list(colrows[c])
@@ -215,23 +258,29 @@ def _invariants(vectors: Iterable[dict], cols: int) -> dict:
             row = rows[r]
             q = row[c] * prow[c]  # prow[c] is its own inverse
             for j, x in prow.items():
-                v = row.get(j, 0) - q * x
-                if v:
-                    row[j] = v
-                    colrows[j].add(r)
+                if j in row:
+                    v = row[j] - q * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        colrows[j].discard(r)
                 else:
-                    del row[j]
-                    colrows[j].discard(r)
+                    row[j] = -q * x
+                    colrows[j].add(r)
             if not row:
                 del rows[r]
+                queued.pop(r, None)
         for j in prow:
             if not colrows[j]:
                 del colrows[j]
         units += 1
         for r in changed:
             if r in rows:
-                for entry in candidates(r):
-                    heapq.heappush(heap, entry)
+                priced = price(rows[r])
+                if priced and queued.get(r) != priced[0]:
+                    queued[r] = priced[0]
+                    heapq.heappush(heap, (priced[0], r))
     remainder = {}
     for row in rows.values():
         vec = [row.get(j, 0) for j in colrows]
@@ -268,16 +317,21 @@ def _rows(p: Presentation, domains: dict) -> dict:
 
     A windowed template is instantiated at every m in the interval its
     letter offsets allow; a window-free one once, with m = None.  Fixed
-    generators have index None.
+    generators have index None.  Each template's exponents are summed per
+    (block, window variable, offset) once, not once per m.
     """
     rows = {}
     for inst in p.relators:
         letters, lo, hi = presets.span(inst.template, domains)
+        sums: dict = {}
+        for prefix, var, off, exp in letters:
+            sums[prefix, var, off] = sums.get((prefix, var, off), 0) + exp
+        terms = [(prefix, var, off, e) for (prefix, var, off), e in sums.items() if e]
         for m in [None] if lo == -math.inf else range(lo, hi + 1):
             row: dict = {}
-            for prefix, var, off, exp in letters:
+            for prefix, var, off, e in terms:
                 col = prefix + (m + off if var else off,)
-                row[col] = row.get(col, 0) + exp
+                row[col] = row.get(col, 0) + e
             rows[inst.label, m] = {c: e for c, e in row.items() if e}
     return rows
 
@@ -418,12 +472,15 @@ def step_invariants(
     an elimination the removed family is restricted to the indices whose
     replacement words fit the window.
 
-    ``carry``, when given, is a dict that hands the rows of this step's
-    after side on to the next call, which reuses them as its before side
-    when the presentation and its domains are the same.  A caller that
-    walks a script one window at a time so builds the rows of each
-    intermediate presentation once, not once as the after side of a step
-    and again as the before side of the next.
+    ``carry``, when given, is a dict that hands this step's after side on
+    to the next call: its rows, its kept instance keys and its
+    invariants.  The next step reuses the rows as its before side when
+    the presentation and its domains are the same, and the invariants
+    too when it keeps the same instances, since the same rows over the
+    same columns have the same cokernel.  A caller that walks a script
+    one window at a time so builds and reduces each intermediate
+    presentation once, not once as the after side of a step and again as
+    the before side of the next.
     """
     doms_b, doms_a = before.domains(window), after.domains(window)
     if record["op"] == "eliminate":
@@ -438,13 +495,16 @@ def step_invariants(
         carry.clear()  # the stale rows go before new ones are built
         rows_b = _rows(before, doms_b)
     rows_a = _rows(after, doms_a)
-    carry.update(presentation=after, domains=doms_a, rows=rows_a)
     labels_a = {inst.label for inst in after.relators}
     kept = [k for k in rows_b if k in rows_a or k[0] not in labels_a]
-    return (
-        _invariants([rows_b[k] for k in kept], presets.width(doms_b)),
-        _invariants([rows_a[k] for k in kept if k in rows_a], presets.width(doms_a)),
-    )
+    if carry.get("kept") == kept:
+        inv_b = carry["invariants"]
+    else:
+        inv_b = _invariants([rows_b[k] for k in kept], presets.width(doms_b))
+    kept_a = [k for k in kept if k in rows_a]
+    inv_a = _invariants([rows_a[k] for k in kept_a], presets.width(doms_a))
+    carry.update(presentation=after, domains=doms_a, rows=rows_a, kept=kept_a, invariants=inv_a)
+    return inv_b, inv_a
 
 
 def check_script_truncation(result, windows=DEFAULT_WINDOWS) -> dict:

@@ -29,10 +29,6 @@ class ForeignSymbol(BraidsubError):
     """A word mentions symbols outside the expected alphabet."""
 
 
-class TrivialSymbol(BraidsubError):
-    """The requested rewriting slot carries no subgroup generator."""
-
-
 class NotInKernel(BraidsubError):
     """Input word does not lie in the derived subgroup."""
 

@@ -6,10 +6,14 @@ share no code.  The window profiles and the per-step truncation
 comparison are pinned to their stable values.  The sparse invariants
 are checked against the diagonal of the dense certified Smith form, and
 the template-to-row builder against the Words that `instantiate` spells
-out, made dense by `relation_matrix`.
+out, made dense by `relation_matrix`.  The one-entry-per-row elimination
+heap and the sparse-transform `snf` are held to the per-entry heap and
+the dense-transform Smith form they replaced, kept here as oracles.
 """
 
 import dataclasses
+import functools
+import heapq
 import itertools
 import math
 import random
@@ -119,6 +123,182 @@ def test_oracle_sanity():
 
 
 # ---------------------------------------------------------------------------
+# Oracles: the elimination and the Smith form before they went sparse
+# ---------------------------------------------------------------------------
+
+
+def snf_dense_transforms(matrix, zero_q=None):
+    """Oracle: the Smith form that rebuilds full rows of U and V at every
+    step.  ``zero_q``, when given, collects "row" or "col" for every
+    addition with multiplier 0."""
+    a = [[int(x) for x in row] for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    for row in a:
+        if len(row) != cols:
+            raise ShapeMismatch("ragged matrix")
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, q):
+        # row i += q * row j
+        if q == 0 and zero_q is not None:
+            zero_q.append("row")
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, q):
+        if q == 0 and zero_q is not None:
+            zero_q.append("col")
+        for row in a:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    t = 0
+    while t < rows and t < cols:
+        piv = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        while True:
+            moved = False
+            for i in range(rows):
+                if i == t or a[i][t] == 0:
+                    continue
+                add_row(i, t, -(a[i][t] // a[t][t]))
+                if a[i][t]:
+                    swap_rows(i, t)
+                    moved = True
+                    break
+            if moved:
+                continue
+            for j in range(cols):
+                if j == t or a[t][j] == 0:
+                    continue
+                add_col(j, t, -(a[t][j] // a[t][t]))
+                if a[t][j]:
+                    swap_cols(j, t)
+                    moved = True
+                    break
+            if moved:
+                continue
+            d = a[t][t]
+            bad = None
+            if d not in (1, -1):  # a unit pivot divides every entry
+                for i in range(t + 1, rows):
+                    if any(x % d for x in a[i][t + 1 :]):
+                        bad = i
+                        break
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        t += 1
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    diag = [a[i][i] for i in range(min(rows, cols))]
+    return diag, u, v
+
+
+def invariants_per_entry_heap(vectors, cols):
+    """Oracle: unit-pivot elimination with one heap candidate per +-1
+    entry, then the dense-transform Smith form of the remainder."""
+    rows = {}
+    colrows = {}
+    ids = {}  # column key -> int, so heap entries only ever compare ints
+    seen = set()
+    for vec in vectors:
+        key = frozenset(vec.items())
+        # a row and its negation state the same relation
+        if key and key not in seen and frozenset((j, -x) for j, x in vec.items()) not in seen:
+            seen.add(key)
+            r = len(rows)
+            rows[r] = row = {}
+            for j, x in vec.items():
+                c = ids.setdefault(j, len(ids))
+                row[c] = x
+                colrows.setdefault(c, set()).add(r)
+    del seen, ids  # free the dedupe keys and column ids before the heap is built
+
+    # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in.
+    # The heap holds a candidate per +-1 entry; a cost goes stale when its
+    # row or column changes, so each popped candidate is checked again.
+    def candidates(r):
+        row = rows[r]
+        for c, x in row.items():
+            if x == 1 or x == -1:
+                yield (len(row) - 1) * (len(colrows[c]) - 1), r, c
+
+    heap = [entry for r in rows for entry in candidates(r)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, p, c = heapq.heappop(heap)
+        prow = rows.get(p)
+        if prow is None or prow.get(c) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(colrows[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, p, c))
+            continue
+        del rows[p]
+        for j in prow:
+            colrows[j].discard(p)
+        changed = list(colrows[c])
+        for r in changed:
+            row = rows[r]
+            q = row[c] * prow[c]  # prow[c] is its own inverse
+            for j, x in prow.items():
+                v = row.get(j, 0) - q * x
+                if v:
+                    row[j] = v
+                    colrows[j].add(r)
+                else:
+                    del row[j]
+                    colrows[j].discard(r)
+            if not row:
+                del rows[r]
+        for j in prow:
+            if not colrows[j]:
+                del colrows[j]
+        units += 1
+        for r in changed:
+            if r in rows:
+                for entry in candidates(r):
+                    heapq.heappush(heap, entry)
+    remainder = {}
+    for row in rows.values():
+        vec = [row.get(j, 0) for j in colrows]
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        remainder[tuple(vec)] = None
+    diag, _, _ = snf_dense_transforms(list(remainder))
+    nonzero = [d for d in diag if d]
+    torsion = [d for d in nonzero if d != 1]
+    return {"torsion": torsion, "free_rank": cols - units - len(nonzero)}
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
@@ -181,6 +361,29 @@ def test_snf_random_sweep():
 )
 def test_snf_certificates_property(mat):
     check_certificates(mat)
+
+
+def test_snf_matches_the_dense_transform_oracle():
+    # U's sparse rows and V's sparse columns give back exactly the
+    # oracle's (diagonal, U, V); the first two matrices make the oracle
+    # add a row, and a column, times 0 to one that lacks an entry of the
+    # other, which must leave the sparse one alone
+    zero_q = []
+    for mat in ([[-3, -3], [0, 4], [-3, -4]], [[-3, -3, -3], [-3, -3, -1], [-2, -3, -3]],
+                [], [[]], [[0, 0], [0, 0]], [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]):
+        assert snf(mat) == snf_dense_transforms(mat, zero_q), mat
+    assert {"row", "col"} <= set(zero_q)
+    rng = random.Random(161803)
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        assert snf(mat) == snf_dense_transforms(mat), mat
+
+
+def test_snf_matches_the_dense_transform_oracle_on_a_catalog_matrix():
+    matrix, gens = relation_matrix(instantiate(reduced_presentation("wb", 8), (-8, 8)))
+    assert (len(matrix), len(gens)) == (1379, 123)
+    assert snf(matrix) == snf_dense_transforms(matrix)
 
 
 def test_invariants_of_cokernel():
@@ -251,6 +454,33 @@ def unit_heavy_matrices(draw):
 def test_invariants_match_dense_snf_on_unit_heavy_matrices(case):
     mat, cols = case
     assert invariants(mat, cols) == dense_invariants(mat, cols)
+
+
+@st.composite
+def sparse_row_sets(draw):
+    """Sparse rows over (family, fixed, index) keys: zero, repeated and
+    negated rows, non-unit entries, and columns no row touches."""
+    cols = draw(st.integers(min_value=0, max_value=10))
+    keys = [("a", (), k) for k in range(cols)]
+    entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -5])
+    row = st.dictionaries(st.sampled_from(keys), entry, max_size=5) if keys else st.just({})
+    vectors = draw(st.lists(row, max_size=25))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if not vectors:
+            break
+        src = vectors[draw(st.integers(min_value=0, max_value=len(vectors) - 1))]
+        extra = draw(st.sampled_from(({}, dict(src), {j: -x for j, x in src.items()})))
+        vectors.insert(draw(st.integers(min_value=0, max_value=len(vectors))), extra)
+    return vectors, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_row_sets())
+def test_row_heap_matches_the_per_entry_heap_and_the_dense_path(case):
+    vectors, keys = case
+    out = abelianize._invariants(vectors, len(keys))
+    assert out == invariants_per_entry_heap(vectors, len(keys))
+    assert out == dense_invariants([[v.get(k, 0) for k in keys] for v in vectors], len(keys))
 
 
 def test_unit_elimination_leaves_a_small_remainder(monkeypatch):
@@ -405,6 +635,40 @@ def test_template_builder_matches_instantiate():
     assert (out["torsion"], out["free_rank"], out["relator_instances"]) == ([2] * 7, 0, 7)
 
 
+# A windowed letter and a constant-index letter of one block meet at one
+# m, and some templates cancel to nothing in the abelianization.
+COLLIDING = parse_presentation(
+    "group: vb\nn: 4\ngenerators:\n  a(m) for m in Z\n  c(3)\n  f(m,0) for m in Z\nrelators:\n"
+    "  # meet\n  a(m) f(m,0) a(1)^-1 f(m+1,0) a(m)\n"
+    "  # cancel-at-zero\n  a(m) a(0)^-1\n"
+    "  # commutator\n  a(m) f(m+1,0) a(m)^-1 f(m+1,0)^-1\n"
+    "  # fixed-commutator\n  c(3) a(2) c(3)^-1 a(2)^-1\n"
+    "  # inner-cancel\n  f(m,0) a(m) f(m,0)^-1 c(3)\n"
+)
+
+
+def test_template_builder_sums_colliding_letters():
+    window = (-2, 2)
+    rows = abelianize._rows(COLLIDING, COLLIDING.domains(window))
+    a, f, c3 = (lambda m: ("a", (), m)), (lambda m: ("f", (0,), m)), ("c", (3,), None)
+    assert rows["meet", 1] == {a(1): 1, f(1): 1, f(2): 1}
+    assert rows["meet", 0] == {a(0): 2, f(0): 1, a(1): -1, f(1): 1}
+    assert rows["cancel-at-zero", 0] == {}
+    assert rows["cancel-at-zero", 2] == {a(2): 1, a(0): -1}
+    assert all(rows["commutator", m] == {} for m in range(-2, 2))
+    assert rows["fixed-commutator", None] == {}
+    assert rows["inner-cancel", -2] == {a(-2): 1, c3: 1}
+    # oracle: the Words instantiate spells out, made dense
+    matrix, gens = relation_matrix(instantiate(COLLIDING, window))
+    assert len(rows) == len(matrix)
+    built = Counter(
+        frozenset((Symbol(fam, fixed if m is None else (m,) + fixed), e) for (fam, fixed, m), e in row.items())
+        for row in rows.values()
+    )
+    spelled = Counter(frozenset((gens[j], x) for j, x in enumerate(vec) if x) for vec in matrix)
+    assert built == spelled
+
+
 def test_abelianization_window_handling():
     p = vb3_final_presentation()
     with pytest.raises(EmptyWindow):
@@ -528,13 +792,20 @@ def test_f_killed_quotient():
         f_killed_quotient(reduced_presentation("vb", 4))
 
 
+@functools.lru_cache(maxsize=None)
+def script_truncation(name, n):
+    """A script run and its truncation check, cached for the session; the
+    tests below only read them."""
+    res = run_script(name, n)
+    return res, check_script_truncation(res)
+
+
 def test_script_truncation_agreement():
     for name, n in (("VB3_REDUCE", None), ("VBN_REDUCE", None), ("VBN_REDUCE", 5),
                     ("VBN_REDUCE", 6), ("VBN_REDUCE", 7), ("VBN_REDUCE", 8),
                     ("WB3_REDUCE", None), ("WB4_REDUCE", None), ("WBN_REDUCE", None),
                     ("WBN_REDUCE", 6), ("WBN_REDUCE", 7), ("WBN_REDUCE", 8)):
-        res = run_script(name, n)
-        out = check_script_truncation(res)
+        res, out = script_truncation(name, n)
         assert out["agree"], (name, n)
         assert out["script"] == name
         for step in out["steps"]:
@@ -578,6 +849,59 @@ def test_script_truncation_builds_each_presentations_rows_once(monkeypatch):
         inv = abelianize.step_invariants(presentations[idx], presentations[idx + 1], rec, (-3, 3))
         assert (row["step"], row["before"], row["after"]) == (idx, *inv)
     assert len(calls) == 24 + 2 * len(steps)
+
+
+def test_script_truncation_equals_each_step_on_its_own():
+    # reference: every step and window through step_invariants without a
+    # carry, so nothing is reused between steps; VBN_REDUCE at n=4..7 and
+    # WBN_REDUCE at n=5..7
+    for name, n in (("VB3_REDUCE", None), ("WB3_REDUCE", None), ("WB4_REDUCE", None),
+                    ("VBN_REDUCE", None), ("VBN_REDUCE", 5), ("VBN_REDUCE", 6), ("VBN_REDUCE", 7),
+                    ("WBN_REDUCE", None), ("WBN_REDUCE", 6), ("WBN_REDUCE", 7)):
+        res, out = script_truncation(name, n)
+        presentations = [res.initial] + [after for _, after in res.steps]
+        steps = []
+        for idx, (rec, _) in enumerate(res.steps):
+            if rec["op"] in ("seeds", "observe"):
+                continue
+            for window in abelianize.DEFAULT_WINDOWS:
+                inv_b, inv_a = abelianize.step_invariants(
+                    presentations[idx], presentations[idx + 1], rec, window, carry=None)
+                steps.append({"step": idx, "text": rec["text"], "window": list(window),
+                              "before": inv_b, "after": inv_a, "agree": inv_b == inv_a})
+        want = {"script": name, "n": res.n, "steps": steps, "agree": all(s["agree"] for s in steps)}
+        assert out == want, (name, n)
+
+
+def test_script_truncation_reduces_each_kept_row_set_once(monkeypatch):
+    calls = []
+    core = abelianize._invariants
+
+    def counted(vectors, cols):
+        calls.append(cols)
+        return core(vectors, cols)
+
+    monkeypatch.setattr(abelianize, "_invariants", counted)
+    # two calls per step and window without the reuse: 72 and 30
+    for name, pairs, want in (("WB4_REDUCE", 36, 48), ("WB3_REDUCE", 15, 21)):
+        calls.clear()
+        out = check_script_truncation(run_script(name))
+        assert len(out["steps"]) == pairs, name
+        assert len(calls) == want, name
+
+
+def test_step_reuse_needs_the_same_kept_instances():
+    # the after side of the first step is the before side of the second,
+    # whose narrower after side keeps fewer of its instances
+    text = "group: vb\nn: 3\ngenerators:\n  a(m) for m in Z\n  f(m,0) for m in Z\nrelators:\n  # sq\n  %s\n"
+    first, second, third = (parse_presentation(text % t) for t in (
+        "a(m) a(m)", "a(m) a(m)", "a(m) f(m+2,0) a(m) f(m+2,0)^-1"))
+    carry: dict = {}
+    inv = abelianize.step_invariants(first, second, {"op": "rotate"}, (-2, 2), carry)
+    assert inv[1] == {"torsion": [2] * 5, "free_rank": 5}
+    assert carry["kept"] == [("sq", m) for m in range(-2, 3)]
+    inv = abelianize.step_invariants(second, third, {"op": "rotate"}, (-2, 2), carry)
+    assert inv[0] == inv[1] == {"torsion": [2] * 3, "free_rank": 7}
 
 
 def test_derived_catalog_invariants_match_reduced():

@@ -23,7 +23,7 @@ from braidsub.cosets import (
     schreier_generator,
     step,
 )
-from braidsub.errors import ForeignSymbol, TrivialSymbol
+from braidsub.errors import ForeignSymbol
 from braidsub.words import Symbol, Word, a, f, parse_word, print_word, rho, sigma
 
 N_MAX = 6  # ambient rank used for the sweeps
@@ -46,6 +46,10 @@ def rep_letters(i, e):
     if e:
         out.append((rho(1), 1))
     return out
+
+
+class TrivialSymbol(Exception):
+    """The requested rewriting slot carries no subgroup generator."""
 
 
 def schreier_generator_strict(coset, sym):
