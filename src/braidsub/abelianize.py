@@ -6,26 +6,27 @@ builder turns a parametric presentation into abelianized relator rows:
 over a window (the window plus the block's trim), `presets.span` reads
 from each template's letter offsets the interval of m it fits into (the
 window rule that `presets.instantiate` and the catalog comparison read
-too), and `_rows` sums each template's exponents per column once, then
-writes one sparse row per instance, keyed by (family, fixed, index)
-columns.  The sparse core `_invariants` reads the invariants of such
-rows by unit-pivot elimination: zero rows and rows equal to another row
+too), `presets.columns` numbers the columns of the block domains with
+ints, and `_rows` sums each template's exponents per column once, then
+writes one sparse row per instance over those int columns.  The sparse
+core `_invariants` reads the invariants of such rows by unit-pivot
+elimination on copies of them: zero rows and rows equal to another row
 or its negation are dropped, and each +-1 pivot removes one row and one
 column as one unit invariant factor (Havas, Holt and Rees 1993; Havas,
 Majewski and Matthews 1998).  Pivots come off a min-heap that holds one
 entry per live row, priced by the Markowitz fill-in bound of the row's
 cheapest +-1 entry; a popped entry is priced again and pushed back when
-its cost has grown, and a row a pivot changes pushes one fresh entry, so
-no pivot search rescans the matrix.  Only the rows of the small
-remainder that differ up to sign go through `snf`, the Smith normal form
-that also returns the unimodular certificates U and V; it keeps U's rows
-and V's columns sparse until it returns them.  The window profiles and
-the step-by-step truncation comparison for simplification scripts both
-use this builder; after every script step the truncated abelianization
-must present the same group, once the kept instances are matched between
-the two sides.  `presets.instantiate` followed by the dense
-`relation_matrix` spells out the same rows letter by letter and is the
-builder's oracle.
+its cost has grown, and a row a pivot changes is priced only when it has
+no entry, so no pivot search rescans the matrix.  Only the rows of the
+small remainder that differ up to sign go through `snf`, the Smith
+normal form that also returns the unimodular certificates U and V; it
+keeps U's rows and V's columns sparse until it returns them.  The
+window profiles and the step-by-step truncation comparison for
+simplification scripts both use this builder; after every script step
+the truncated abelianization must present the same group, once the kept
+instances are matched between the two sides.  `presets.instantiate`
+followed by the dense `relation_matrix` spells out the same rows letter
+by letter and is the builder's oracle.
 """
 
 from __future__ import annotations
@@ -181,10 +182,10 @@ def invariants(matrix: Sequence[Sequence[int]], cols: Optional[int] = None) -> d
 def _invariants(vectors: Iterable[dict], cols: int) -> dict:
     """Torsion coefficients and free rank of the cokernel of sparse rows.
 
-    Each row maps column keys to nonzero entries; `cols` counts every
-    column, touched or not.  Unit pivots are eliminated on the sparse
-    rows first; `snf` then diagonalises only the remaining rows that
-    differ up to sign.
+    Each row maps int column ids to nonzero entries and is read, never
+    changed; `cols` counts every column, touched or not.  Unit pivots are
+    eliminated on copies of the rows first; `snf` then diagonalises only
+    the remaining rows that differ up to sign.
     """
     # heapq loads a C extension; imported here, it stays out of the CLI
     # runs that never abelianize (0.15 MB of peak RSS per process with
@@ -193,31 +194,29 @@ def _invariants(vectors: Iterable[dict], cols: int) -> dict:
 
     rows: dict[int, dict] = {}
     colrows: dict[int, set] = {}
-    ids: dict = {}  # column key -> int, which hashes faster than the key
     seen = set()
     for vec in vectors:
         if not vec:
             continue
-        for j in vec:
-            if j not in ids:
-                colrows[len(ids)] = set()
-                ids[j] = len(ids)
-        row = {ids[j]: x for j, x in vec.items()}
         # a row and its negation state the same relation: the key takes
-        # the sign that makes the entry in the first column positive
-        key = frozenset(row.items() if row[min(row)] > 0 else ((c, -x) for c, x in row.items()))
+        # the sign that makes the entry in the lowest column positive
+        key = frozenset(vec.items() if vec[min(vec)] > 0 else ((c, -x) for c, x in vec.items()))
         if key not in seen:
             seen.add(key)
             r = len(rows)
-            rows[r] = row
-            for c in row:
-                colrows[c].add(r)
-    del seen, ids  # free the dedupe keys and column ids before the heap is built
+            rows[r] = dict(vec)  # eliminated in place; the caller's row stays
+            for c in vec:
+                if c in colrows:
+                    colrows[c].add(r)
+                else:
+                    colrows[c] = {r}
+    del seen  # free the dedupe keys before the heap is built
 
     # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in
     # of a pivot.  The heap holds one entry per live row, priced by its
     # cheapest +-1 entry; a price goes stale when the row or one of its
-    # columns changes, so each popped entry is priced again.
+    # columns changes, so each popped entry is priced again: a price that
+    # grew goes back on the heap, one that fell is taken at once.
     def price(row):
         """(cost, column) of the row's cheapest +-1 pivot, or None."""
         best = None
@@ -228,28 +227,27 @@ def _invariants(vectors: Iterable[dict], cols: int) -> dict:
                     best = count, c
         return best and ((len(row) - 1) * (best[0] - 1), best[1])
 
-    queued = {}  # live row -> the cost of its heap entry
+    heap = []
     for r, row in rows.items():
         priced = price(row)
         if priced:
-            queued[r] = priced[0]
-    heap = [(cost, r) for r, cost in queued.items()]
+            heap.append((priced[0], r))
     heapq.heapify(heap)
+    queued = {r for _, r in heap}  # the live rows with a heap entry
     units = 0
     while heap:
         cost, p = heapq.heappop(heap)
-        if queued.get(p) != cost:
-            continue  # the row is gone or has a newer entry
+        if p not in queued:
+            continue  # the row is gone
         priced = price(rows[p])
         if priced is None:
-            del queued[p]
+            queued.remove(p)
             continue
         now, c = priced
         if now > cost:
-            queued[p] = now
             heapq.heappush(heap, (now, p))
             continue
-        del queued[p]
+        queued.remove(p)
         prow = rows.pop(p)
         for j in prow:
             colrows[j].discard(p)
@@ -270,16 +268,17 @@ def _invariants(vectors: Iterable[dict], cols: int) -> dict:
                     colrows[j].add(r)
             if not row:
                 del rows[r]
-                queued.pop(r, None)
+                queued.discard(r)
         for j in prow:
             if not colrows[j]:
                 del colrows[j]
         units += 1
+        # a changed row with an entry is priced when that entry pops
         for r in changed:
-            if r in rows:
+            if r in rows and r not in queued:
                 priced = price(rows[r])
-                if priced and queued.get(r) != priced[0]:
-                    queued[r] = priced[0]
+                if priced:
+                    queued.add(r)
                     heapq.heappush(heap, (priced[0], r))
     remainder = {}
     for row in rows.values():
@@ -313,24 +312,29 @@ def relation_matrix(fp: FinitePresentation) -> tuple[Matrix, list]:
 
 
 def _rows(p: Presentation, domains: dict) -> dict:
-    """Abelianized relator instances: {(label, m): {(family, fixed, index): exponent}}.
+    """Abelianized relator instances: {(label, m): {column: exponent}}.
 
-    A windowed template is instantiated at every m in the interval its
-    letter offsets allow; a window-free one once, with m = None.  Fixed
-    generators have index None.  Each template's exponents are summed per
-    (block, window variable, offset) once, not once per m.
+    Columns are the int ids of `presets.columns(domains)`.  A windowed
+    template is instantiated at every m in the interval its letter
+    offsets allow; a window-free one once, with m = None.  Each
+    template's exponents are summed per (column at m = 0, windowed or
+    not) once; an instance adds m to the windowed columns.
     """
+    base, _ = presets.columns(domains)
     rows = {}
     for inst in p.relators:
         letters, lo, hi = presets.span(inst.template, domains)
         sums: dict = {}
         for prefix, var, off, exp in letters:
-            sums[prefix, var, off] = sums.get((prefix, var, off), 0) + exp
-        terms = [(prefix, var, off, e) for (prefix, var, off), e in sums.items() if e]
+            # a letter of a block without a window index has offset None
+            key = base[prefix] + (off or 0), bool(var)
+            sums[key] = sums.get(key, 0) + exp
+        terms = [(col, windowed, e) for (col, windowed), e in sums.items() if e]
         for m in [None] if lo == -math.inf else range(lo, hi + 1):
             row: dict = {}
-            for prefix, var, off, e in terms:
-                col = prefix + (m + off if var else off,)
+            for col, windowed, e in terms:
+                if windowed:
+                    col += m
                 row[col] = row.get(col, 0) + e
             rows[inst.label, m] = {c: e for c, e in row.items() if e}
     return rows
@@ -477,7 +481,8 @@ def step_invariants(
     invariants.  The next step reuses the rows as its before side when
     the presentation and its domains are the same, and the invariants
     too when it keeps the same instances, since the same rows over the
-    same columns have the same cokernel.  A caller that walks a script
+    same columns have the same cokernel; `_invariants` never changes the
+    rows it reads, so they can be handed on.  A caller that walks a script
     one window at a time so builds and reduces each intermediate
     presentation once, not once as the after side of a step and again as
     the before side of the next.

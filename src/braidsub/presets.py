@@ -418,9 +418,29 @@ def generator_count(p: Presentation) -> GeneratorSummary:
     return GeneratorSummary(True, len(names), tuple(sorted(names)), ())
 
 
+def columns(domains: dict) -> tuple[dict, int]:
+    """Int column ids of the block domains: (base, width).
+
+    A windowed block with interval (lo, hi) has the columns base[block] +
+    index for index in lo..hi, none when lo > hi; a block without a window
+    index has the one column base[block].  Blocks are numbered in sorted
+    key order, so equal domain dicts give equal numberings.
+    """
+    base, width = {}, 0
+    for block in sorted(domains):
+        dom = domains[block]
+        if dom is None:
+            base[block] = width
+            width += 1
+        else:
+            base[block] = width - dom[0]
+            width += max(0, dom[1] - dom[0] + 1)
+    return base, width
+
+
 def width(domains: dict) -> int:
     """The number of generators the block domains hold."""
-    return sum(1 if d is None else max(0, d[1] - d[0] + 1) for d in domains.values())
+    return columns(domains)[1]
 
 
 def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:

@@ -7,8 +7,10 @@ comparison are pinned to their stable values.  The sparse invariants
 are checked against the diagonal of the dense certified Smith form, and
 the template-to-row builder against the Words that `instantiate` spells
 out, made dense by `relation_matrix`.  The one-entry-per-row elimination
-heap and the sparse-transform `snf` are held to the per-entry heap and
-the dense-transform Smith form they replaced, kept here as oracles.
+heap, the sparse-transform `snf` and the int-column builder are held to
+the per-entry heap, the dense-transform Smith form and the builder keyed
+by (family, fixed, index) columns that they replaced, kept here as
+oracles.
 """
 
 import dataclasses
@@ -458,10 +460,10 @@ def test_invariants_match_dense_snf_on_unit_heavy_matrices(case):
 
 @st.composite
 def sparse_row_sets(draw):
-    """Sparse rows over (family, fixed, index) keys: zero, repeated and
-    negated rows, non-unit entries, and columns no row touches."""
-    cols = draw(st.integers(min_value=0, max_value=10))
-    keys = [("a", (), k) for k in range(cols)]
+    """Sparse rows over int column ids in no particular order: zero,
+    repeated and negated rows, non-unit entries, and columns no row
+    touches."""
+    keys = draw(st.lists(st.integers(min_value=0, max_value=40), unique=True, max_size=10))
     entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -5])
     row = st.dictionaries(st.sampled_from(keys), entry, max_size=5) if keys else st.just({})
     vectors = draw(st.lists(row, max_size=25))
@@ -478,7 +480,9 @@ def sparse_row_sets(draw):
 @given(sparse_row_sets())
 def test_row_heap_matches_the_per_entry_heap_and_the_dense_path(case):
     vectors, keys = case
+    given_rows = [dict(v) for v in vectors]
     out = abelianize._invariants(vectors, len(keys))
+    assert vectors == given_rows  # the input rows are read, never changed
     assert out == invariants_per_entry_heap(vectors, len(keys))
     assert out == dense_invariants([[v.get(k, 0) for k in keys] for v in vectors], len(keys))
 
@@ -600,6 +604,69 @@ WIDENED_SQUARE = parse_presentation(
 )
 
 
+def tuple_keyed_rows(p, domains):
+    """Oracle: the template builder before its columns were numbered, with
+    rows keyed by (family, fixed, index) columns; a fixed generator has
+    index None."""
+    rows = {}
+    for inst in p.relators:
+        letters, lo, hi = presets.span(inst.template, domains)
+        sums = {}
+        for prefix, var, off, exp in letters:
+            sums[prefix, var, off] = sums.get((prefix, var, off), 0) + exp
+        terms = [(prefix, var, off, e) for (prefix, var, off), e in sums.items() if e]
+        for m in [None] if lo == -math.inf else range(lo, hi + 1):
+            row = {}
+            for prefix, var, off, e in terms:
+                col = prefix + (m + off if var else off,)
+                row[col] = row.get(col, 0) + e
+            rows[inst.label, m] = {c: e for c, e in row.items() if e}
+    return rows
+
+
+def column_keys(domains):
+    """The (family, fixed, index) key of each int column of
+    `presets.columns(domains)`; every id below the width is used once."""
+    base, width = presets.columns(domains)
+    keys = {}
+    for block, dom in domains.items():
+        if dom is None:
+            keys[base[block]] = block + (None,)
+        else:
+            for index in range(dom[0], dom[1] + 1):
+                keys[base[block] + index] = block + (index,)
+    assert sorted(keys) == list(range(width))
+    return keys
+
+
+def decoded_rows(p, domains):
+    """`_rows` with its int columns decoded to (family, fixed, index)."""
+    keys = column_keys(domains)
+    return {k: {keys[c]: e for c, e in row.items()} for k, row in abelianize._rows(p, domains).items()}
+
+
+def test_int_rows_equal_the_tuple_keyed_oracle():
+    cases = [(p, p.domains(window)) for p in [*builder_cases(), COLLIDING]
+             for window in ((-2, 2), (-4, 4), (-8, 8), (-3, 5))]
+    # one empty interval: a windowed block that keeps no index, as an
+    # eliminated family restricted to no replacement can
+    emptied = reduced_presentation("wb", 5)
+    domains = emptied.domains((-4, 4))
+    block = next(b for b, d in domains.items() if d is not None)
+    domains[block] = (3, 2)
+    cases.append((emptied, domains))
+    for p, domains in cases:
+        case = (p.group, p.n, domains)
+        want = tuple_keyed_rows(p, domains)
+        got = decoded_rows(p, domains)
+        assert list(got) == list(want), case
+        assert got == want, case
+        # the numbering reads the blocks in sorted order, not dict order
+        assert presets.columns(dict(reversed(domains.items()))) == presets.columns(domains), case
+        assert presets.width(domains) == len(column_keys(domains)), case
+    assert not any(key[:2] == block for row in decoded_rows(emptied, domains).values() for key in row)
+
+
 def test_template_builder_matches_instantiate():
     # oracle: Words spelled out by instantiate, then the dense relation matrix;
     # the catalog comparison keys the very instances instantiate spells
@@ -608,7 +675,7 @@ def test_template_builder_matches_instantiate():
             fp = instantiate(p, window)
             matrix, gens = relation_matrix(fp)
             domains = p.domains(window)
-            rows = abelianize._rows(p, domains)
+            rows = decoded_rows(p, domains)
             built = Counter(
                 frozenset((Symbol(fam, fixed if m is None else (m,) + fixed), e)
                           for (fam, fixed, m), e in row.items())
@@ -649,7 +716,7 @@ COLLIDING = parse_presentation(
 
 def test_template_builder_sums_colliding_letters():
     window = (-2, 2)
-    rows = abelianize._rows(COLLIDING, COLLIDING.domains(window))
+    rows = decoded_rows(COLLIDING, COLLIDING.domains(window))
     a, f, c3 = (lambda m: ("a", (), m)), (lambda m: ("f", (0,), m)), ("c", (3,), None)
     assert rows["meet", 1] == {a(1): 1, f(1): 1, f(2): 1}
     assert rows["meet", 0] == {a(0): 2, f(0): 1, a(1): -1, f(1): 1}
@@ -888,6 +955,25 @@ def test_script_truncation_reduces_each_kept_row_set_once(monkeypatch):
         out = check_script_truncation(run_script(name))
         assert len(out["steps"]) == pairs, name
         assert len(calls) == want, name
+
+
+def test_carried_rows_stay_as_built(monkeypatch):
+    # carry reuse is sound only while _invariants leaves its input rows
+    # alone: every rows dict a step carries, after the next step has
+    # reduced it as its before side, still equals a fresh build
+    carried = []
+    step = abelianize.step_invariants
+
+    def record(before, after, rec, window, carry=None):
+        out = step(before, after, rec, window, carry)
+        carried.append((carry["rows"], after, carry["domains"]))
+        return out
+
+    monkeypatch.setattr(abelianize, "step_invariants", record)
+    out = check_script_truncation(run_script("WB4_REDUCE"))
+    assert out["agree"] and len(carried) == len(out["steps"]) == 36
+    for rows, after, domains in carried:
+        assert rows == abelianize._rows(after, domains)
 
 
 def test_step_reuse_needs_the_same_kept_instances():

@@ -343,6 +343,25 @@ PRESENT_REPORT_SNAPSHOTS = {
 }
 
 
+# sha256 of the stdout of the windowed abelianization: the reduced
+# catalogs at the ranks of the paper's quotients and at n=8 (wb n=8 is
+# the 1379 x 123 matrix), the derived catalog at wb n=4 and n=8, and one
+# text run
+STAGE_4_SNAPSHOTS = {
+    "abelianize --group vb --n 3 --window -8..8 --format json": "4171e9ba111f03e88aed746e822f207bec61a58abf961a41c5d88ce2ebff3e10",
+    "abelianize --group vb --n 4 --window -8..8 --format json": "0085c394dac6eee9cc1cd5950cbf3cd92736a3ba003ee2467bf8a3e84e2878c6",
+    "abelianize --group vb --n 5 --window -8..8 --format json": "d7b34cbfae9996bb820fa2e02f576a294785f682219578a6764daf78980c0fcc",
+    "abelianize --group vb --n 8 --window -8..8 --format json": "504b3c70c7baa32d3b0d0a19329e028677025559583c9f86fa888ec9e1974c13",
+    "abelianize --group wb --n 3 --window -8..8 --format json": "6eb4e25e705f367b2f4409a474c4dce4de7f900b6a6dfba10f101b882f0ce643",
+    "abelianize --group wb --n 4 --window -8..8 --format json": "1c7156fd7ba551190922bdcd39e1e06868f7fdd2151c098029984d7907fc3887",
+    "abelianize --group wb --n 5 --window -8..8 --format json": "26c467794ff8eb3c807497380586714e9003e24fc28adb99e03d30464f6b4b15",
+    "abelianize --group wb --n 8 --window -8..8 --format json": "93388ec8da9de50251bf93340e07c408260abb6b2201e0c34b012958822cfa20",
+    "abelianize --group wb --n 4 --window -8..8 --derived --format json": "4c626788f7f84b1317d6bc20aec014e1f073810e2d93434be0808d0027e16a5d",
+    "abelianize --group wb --n 8 --window -8..8 --derived --format json": "c1fc0276601e226b5827deff399631cfaeefadd0bae78ea868b3e8cbd8dc0e56",
+    "abelianize --group vb --n 3 --window -8..8": "ebb2aba104e26f64cf4d195fe87a4fb9d5a60ae7f5752f6efabc3c64c4334ca4",
+}
+
+
 def _output_snapshot_test(snapshots):
     @pytest.mark.parametrize("command", sorted(snapshots))
     def test(capsys, command):
@@ -360,3 +379,4 @@ def _output_snapshot_test(snapshots):
 test_stage_2_output_snapshot = _output_snapshot_test(STAGE_2_SNAPSHOTS)
 test_stage_3_output_snapshot = _output_snapshot_test(STAGE_3_SNAPSHOTS)
 test_present_report_output_snapshot = _output_snapshot_test(PRESENT_REPORT_SNAPSHOTS)
+test_stage_4_output_snapshot = _output_snapshot_test(STAGE_4_SNAPSHOTS)
