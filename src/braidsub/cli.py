@@ -13,7 +13,8 @@ Subcommands:
 Exit codes: 0 all good, 1 a verification produced a mismatch, 2 usage or
 precondition error.  Reports are also written as JSON files into the
 directory named by the BRAIDSUB_OUTDIR environment variable (default:
-the working directory).  All output is deterministic: no timestamps,
+the working directory); a verify report appears only once every table
+is checked.  All output is deterministic: no timestamps,
 sorted cases.
 """
 
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
+import shutil
 import sys
 
 from . import abelianize as ab
@@ -58,68 +61,74 @@ def _json_key(key) -> str:
     return _encode_str(key) + ": "
 
 
-# (key tuple, newline) -> _row_form of an all-string dict with str keys
+# (key tuple, newline) -> (format, sorted keys) of a dict with str keys
 # only: 1, 1.0 and True are equal keys that json spells apart
 _ROW_FORMS: dict = {}
 
 
-def _row_form(obj: dict, newline: str) -> tuple:
-    """The fixed text of an all-string dict at one depth: its opening, the
-    separator, each sorted key's ``"key": `` text with the key, and its
-    closing.  Strings joined at their exact size keep the peak RSS down."""
+def _row_form(keys: tuple, newline: str) -> tuple | None:
+    """Cache and return the ``%`` format of an all-string dict with these
+    str keys at one depth, and its keys in the order the format takes
+    their values; None for keys that are not all str."""
+    if not all(type(key) is str for key in keys):
+        return None
+    order = sorted(keys)
     inner = newline + "  "
-    return "{" + inner, "," + inner, [(_json_key(key), key) for key in sorted(obj)], newline + "}"
+    fields = ("," + inner).join([_json_key(key).replace("%", "%%") + "%s" for key in order])
+    form = _ROW_FORMS[keys, newline] = ("{" + inner + fields + newline + "}", order)
+    return form
 
 
-def _json_parts(obj, newline: str, parts: list) -> None:
-    """Append the ``indent=2`` text of obj, nested after ``newline``, to parts."""
+def _json_parts(obj, newline: str, emit) -> None:
+    """Pass the ``indent=2`` text of obj, nested after ``newline``, to emit
+    part by part."""
     if isinstance(obj, str):
-        parts.append(_encode_str(obj))
+        emit(_encode_str(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            parts.append("[]")
+            emit("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for value in obj:
-            parts.append(sep)
-            _json_parts(value, inner, parts)
+            emit(sep)
+            _json_parts(value, inner, emit)
             sep = "," + inner
-        parts.append(newline + "]")
+        emit(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            emit("{}")
             return
-        if all(isinstance(value, str) for value in obj.values()):
-            form = _ROW_FORMS.get((tuple(obj), newline))
-            if form is None:
-                form = _row_form(obj, newline)
-                if all(isinstance(key, str) for key in obj):
-                    _ROW_FORMS[tuple(obj), newline] = form
-            head, sep, keys, tail = form
-            parts.append(head + sep.join([text + _encode_str(obj[key]) for text, key in keys]) + tail)
-            return
+        keys = tuple(obj)
+        form = _ROW_FORMS.get((keys, newline)) or _row_form(keys, newline)
+        if form is not None:
+            try:  # a row of strings, such as a verify case, is one string
+                row = form[0] % tuple([_encode_str(obj[key]) for key in form[1]])
+            except TypeError:  # a value that is not a str
+                pass
+            else:
+                emit(row)
+                return
         inner = newline + "  "
-        items = sorted(obj.items())
         sep = "{" + inner
-        for key, value in items:
-            parts.append(sep + _json_key(key))
-            _json_parts(value, inner, parts)
+        for key, value in sorted(obj.items()):
+            emit(sep + _json_key(key))
+            _json_parts(value, inner, emit)
             sep = "," + inner
-        parts.append(newline + "}")
+        emit(newline + "}")
     else:
-        parts.append(_encode_scalar(obj))
+        emit(_encode_scalar(obj))
 
 
 def _dump_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, from the C encoders.
 
-    A dict of strings, such as a verify case row, is joined into one
-    string around the key texts cached for its key tuple; every other
-    part is collected in one list and joined once.
+    A dict of strings with str keys, such as a verify case row, is one
+    ``%`` format cached for its key tuple and depth; every part is
+    collected in one list and joined once.
     """
     parts: list = []
-    _json_parts(obj, "\n", parts)
+    _json_parts(obj, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
@@ -216,40 +225,67 @@ def _lemma_group(lemma: str, override) -> str:
 
 def _sorted_report(report: dict) -> dict:
     report = dict(report)
-    report["cases"] = sorted(report["cases"], key=lambda c: c["params"])
+    report["cases"] = sorted(report["cases"], key=operator.itemgetter("params"))
     return report
 
 
+def _verify_text(report: dict) -> str:
+    """The text lines of one statement table's report."""
+    lines = ["%s (%s, n=%d): %d cases\n"
+             % (report["lemma"], report["group"], report["n"], len(report["cases"]))]
+    lines += ["  %s  tier=%s  %s\n" % (case["params"], case["tier"] or "-", case["verdict"])
+              for case in report["cases"]]
+    lines += ["  note: %s\n" % note for note in report["notes"]]
+    return "".join(lines)
+
+
 def cmd_verify(args) -> int:
+    """Check one statement table at a time and write its JSON before the
+    next, so only one table's cases are alive at once.  The JSON goes into
+    a temporary file beside the report, which replaces the report once
+    every table is checked; nothing is printed before then, so a run that
+    fails leaves no partial output and no partial report."""
     lo, hi = args.m_range
     if lo > hi:
         sys.stderr.write("warning: empty m-range, nothing to check\n")
-    ids = list(presets.LEMMA_IDS) if args.lemma == "ALL" else [args.lemma]
-    reports = []
-    for lemma in ids:
-        group = _lemma_group(lemma, args.group)
-        reports.append(_sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
-    obj = reports[0] if args.lemma != "ALL" else {"n": args.n, "lemmas": reports}
-    text = _write_report("verify-%s.json" % args.lemma, obj)
-    mismatches = 0
-    for rep in reports:
-        for case in rep["cases"]:
-            if case["verdict"] == "MISMATCH":
-                mismatches += 1
-    if args.format == "json":
-        sys.stdout.write(text)
+    if args.lemma == "ALL":
+        ids, newline = presets.LEMMA_IDS, "\n    "
+        head, tail = '{\n  "lemmas": [\n    ', '\n  ],\n  "n": %d\n}\n' % args.n
     else:
-        del text  # the serialised report is not kept alive while printing
-        for rep in reports:
-            sys.stdout.write(
-                "%s (%s, n=%d): %d cases\n" % (rep["lemma"], rep["group"], rep["n"], len(rep["cases"]))
-            )
-            for case in rep["cases"]:
-                sys.stdout.write(
-                    "  %s  tier=%s  %s\n" % (case["params"], case["tier"] or "-", case["verdict"])
-                )
-            for note in rep["notes"]:
-                sys.stdout.write("  note: %s\n" % note)
+        ids, newline, head, tail = (args.lemma,), "\n", "", "\n"
+    texts: list[str] = []
+    mismatches = 0
+    fh = None
+    try:
+        for lemma in ids:
+            group = _lemma_group(lemma, args.group)
+            report = _sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range))
+            if fh is None:  # the report directory is made once a table is checked
+                path = os.path.join(_outdir(), "verify-%s.json" % args.lemma)
+                fh = open("%s.%d.tmp" % (path, os.getpid()), "w", encoding="utf-8")
+                fh.write(head)
+            else:
+                fh.write("," + newline)
+            _json_parts(report, newline, fh.write)
+            mismatches += sum(1 for case in report["cases"] if case["verdict"] == "MISMATCH")
+            if args.format != "json":
+                texts.append(_verify_text(report))
+            del report  # before the next table is checked
+        fh.write(tail)
+        fh.close()
+        os.replace(fh.name, path)
+    except BaseException:
+        if fh is not None:
+            try:
+                fh.close()
+            finally:
+                os.remove(fh.name)
+        raise
+    if args.format == "json":
+        with open(path, encoding="utf-8") as done:
+            shutil.copyfileobj(done, sys.stdout)
+    else:
+        sys.stdout.writelines(texts)
         sys.stdout.write("mismatches: %d\n" % mismatches)
     return 1 if mismatches else 0
 

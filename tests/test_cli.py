@@ -6,12 +6,14 @@ temporary BRAIDSUB_OUTDIR.
 
 import hashlib
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsub import cli
+from braidsub import cli, presets, rewriting
 from braidsub.abelianize import relation_matrix
 from braidsub.cli import main
 from braidsub.presets import instantiate, reduced_presentation
@@ -91,6 +93,100 @@ def test_verify_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "verify")
     assert exc.value.code == 2
+
+
+def whole_report_verify(args) -> int:
+    """The oracle for ``cmd_verify``: every statement table is checked
+    first, and the whole report is then written and printed at once."""
+    lo, hi = args.m_range
+    if lo > hi:
+        sys.stderr.write("warning: empty m-range, nothing to check\n")
+    ids = list(presets.LEMMA_IDS) if args.lemma == "ALL" else [args.lemma]
+    reports = []
+    for lemma in ids:
+        group = cli._lemma_group(lemma, args.group)
+        reports.append(cli._sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
+    obj = reports[0] if args.lemma != "ALL" else {"n": args.n, "lemmas": reports}
+    text = cli._write_report("verify-%s.json" % args.lemma, obj)
+    mismatches = 0
+    for rep in reports:
+        for case in rep["cases"]:
+            if case["verdict"] == "MISMATCH":
+                mismatches += 1
+    if args.format == "json":
+        sys.stdout.write(text)
+    else:
+        for rep in reports:
+            sys.stdout.write(
+                "%s (%s, n=%d): %d cases\n" % (rep["lemma"], rep["group"], rep["n"], len(rep["cases"]))
+            )
+            for case in rep["cases"]:
+                sys.stdout.write(
+                    "  %s  tier=%s  %s\n" % (case["params"], case["tier"] or "-", case["verdict"])
+                )
+            for note in rep["notes"]:
+                sys.stdout.write("  note: %s\n" % note)
+        sys.stdout.write("mismatches: %d\n" % mismatches)
+    return 1 if mismatches else 0
+
+
+def run_in(capsys, monkeypatch, path, *argv):
+    """Run argv with ``path`` as the report directory; return the exit
+    code, stdout, stderr and the bytes of every file the run left there."""
+    monkeypatch.setenv("BRAIDSUB_OUTDIR", str(path))
+    code, out, err = run(capsys, *argv)
+    files = {f.name: f.read_bytes() for f in sorted(path.iterdir())} if path.exists() else None
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("lemma", [
+    ("ALL", "--n", "3"), ("ALL", "--n", "4"), ("ALL", "--n", "5"), ("ALL", "--n", "6"),
+    ("L3_1",), ("L7",), ("CON",), ("L5_2", "--group", "wb"),
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_streamed_verify_matches_the_whole_report(capsys, monkeypatch, outdir, lemma):
+    for m_range in ("-40..40", "-12..12", "0..0", "2..-2"):
+        for fmt in ("text", "json"):
+            argv = ("verify", "--lemma", *lemma, "--m-range", m_range, "--format", fmt)
+            streamed = run_in(capsys, monkeypatch, outdir / ("stream" + m_range + fmt), *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_verify", whole_report_verify)
+                whole = run_in(capsys, monkeypatch, outdir / ("whole" + m_range + fmt), *argv)
+            assert streamed == whole, argv
+            assert streamed[0] == 0 and list(streamed[3]) == ["verify-%s.json" % lemma[0]]
+            assert ("empty m-range" in streamed[2]) == (m_range == "2..-2")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failing_verify_prints_nothing_and_keeps_the_old_report(capsys, outdir, fmt):
+    # every table up to L5_2, the last, is checked and written before it
+    # raises: the welded-only statement asked of the virtual group
+    assert presets.LEMMA_IDS[-1] == "L5_2"
+    earlier = b'{"earlier": "run"}\n'
+    (outdir / "verify-ALL.json").write_bytes(earlier)
+    code, out, err = run(capsys, "verify", "--lemma", "ALL", "--group", "vb", "--n", "4", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: statement L5_2 concerns the welded group\n"
+    assert [f.name for f in outdir.iterdir()] == ["verify-ALL.json"]
+    assert (outdir / "verify-ALL.json").read_bytes() == earlier
+
+
+def test_verify_peak_memory_follows_the_largest_table(capsys, monkeypatch):
+    argv = ("verify", "--lemma", "ALL", "--n", "5", "--m-range", "-40..40")
+    run(capsys, *argv)  # warm every cache both runs share
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert run(capsys, *argv)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak()
+    monkeypatch.setattr(cli, "cmd_verify", whole_report_verify)
+    whole = peak()
+    assert streamed <= 0.4 * whole, (streamed, whole)
 
 
 def test_negative_range_values_parse(capsys):
