@@ -13,14 +13,15 @@ Subcommands:
 Exit codes: 0 all good, 1 a verification produced a mismatch, 2 usage or
 precondition error.  Reports are also written as JSON files into the
 directory named by the BRAIDSUB_OUTDIR environment variable (default:
-the working directory); a verify report appears only once every table
-is checked.  All output is deterministic: no timestamps,
-sorted cases.
+the working directory); a report appears only once it is complete, so a
+run that fails leaves an earlier one as it was.  All output is
+deterministic: no timestamps, sorted cases.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import operator
 import os
@@ -133,13 +134,24 @@ def _dump_json(obj) -> str:
     return "".join(parts)
 
 
-def _write_report(name: str, obj) -> str:
-    """Write ``obj`` as JSON into the report directory and return the text,
-    so that ``--format json`` prints it without serialising it again."""
-    text = _dump_json(obj)
-    with open(os.path.join(_outdir(), name), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
+@contextlib.contextmanager
+def _report_file(name: str, echo: bool):
+    """Yield a temporary file beside the report ``name`` in the report
+    directory.  On a clean exit it replaces the report and, with ``echo``,
+    the finished report is printed; on an error it is removed, so an
+    earlier report stays whole and nothing is printed."""
+    path = os.path.join(_outdir(), name)
+    fh = open("%s.%d.tmp" % (path, os.getpid()), "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(fh.name, path)
+    except BaseException:
+        os.remove(fh.name)
+        raise
+    if echo:
+        with open(path, encoding="utf-8") as done:
+            shutil.copyfileobj(done, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +268,12 @@ def cmd_verify(args) -> int:
     texts: list[str] = []
     mismatches = 0
     fh = None
-    try:
+    with contextlib.ExitStack() as stack:
         for lemma in ids:
             group = _lemma_group(lemma, args.group)
             report = _sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range))
             if fh is None:  # the report directory is made once a table is checked
-                path = os.path.join(_outdir(), "verify-%s.json" % args.lemma)
-                fh = open("%s.%d.tmp" % (path, os.getpid()), "w", encoding="utf-8")
+                fh = stack.enter_context(_report_file("verify-%s.json" % args.lemma, args.format == "json"))
                 fh.write(head)
             else:
                 fh.write("," + newline)
@@ -272,19 +283,7 @@ def cmd_verify(args) -> int:
                 texts.append(_verify_text(report))
             del report  # before the next table is checked
         fh.write(tail)
-        fh.close()
-        os.replace(fh.name, path)
-    except BaseException:
-        if fh is not None:
-            try:
-                fh.close()
-            finally:
-                os.remove(fh.name)
-        raise
-    if args.format == "json":
-        with open(path, encoding="utf-8") as done:
-            shutil.copyfileobj(done, sys.stdout)
-    else:
+    if args.format != "json":
         sys.stdout.writelines(texts)
         sys.stdout.write("mismatches: %d\n" % mismatches)
     return 1 if mismatches else 0
@@ -503,11 +502,10 @@ def build_report() -> dict:
 
 def cmd_report(args) -> int:
     obj = build_report()
-    text = _write_report("report.json", obj)
-    if args.format == "json":
-        sys.stdout.write(text)
-    else:
-        del text
+    with _report_file("report.json", args.format == "json") as fh:
+        _json_parts(obj, "\n", fh.write)
+        fh.write("\n")
+    if args.format != "json":
         for r in obj["rows"]:
             sys.stdout.write("%-4s %-16s %s\n" % (r["status"], r["claim"], r["statement"]))
             if r["status"] != "pass":

@@ -16,8 +16,10 @@ This module holds the group-level data used everywhere else:
   finite list of relator templates in the window variable ``m``) with
   window instantiation, generator accounting, and a plain-text format;
 * the window rule: ``Presentation.domains`` gives each generator block
-  its index interval over a window (the window plus the block's trim)
-  and ``span`` the interval of m at which a template's letters all lie
+  (``words.letter_block``) its index interval over a window (the window
+  plus the block's trim; None for a c block, whose family has no window
+  slot, as ``GeneratorFamily.windowed`` reads from the family) and
+  ``span`` the interval of m at which a template's letters all lie
   in their blocks.  ``instantiate``, the abelianizer's row builder and
   the catalog comparison all keep the instances this rule keeps.
 
@@ -36,9 +38,10 @@ from typing import Callable, Iterable, Optional
 
 from .errors import BadRank, EmptyWindow, ParametricInput, ParseError, ShapeMismatch
 from .words import (
+    M_FAMILIES,
     Symbol,
     TemplateWord,
-    fixed_indices,
+    letter_block,
     parse_template,
     print_letter,
     print_template,
@@ -340,17 +343,19 @@ def main_families(group: str) -> tuple[RelatorFamily, ...]:
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """One block of generators: a family with its fixed trailing indices.
-
-    ``windowed`` families are indexed by the window variable in the first
-    slot; ``basis`` records the seed indices after a reduction step (None
-    while the whole integer line is needed).
+    """One generator block (``words.letter_block``): a family with the
+    constants of its block slots.  ``basis`` records the seed indices after
+    a reduction step (None while the whole integer line is needed).
     """
 
     family: str
     fixed: tuple[int, ...] = ()
-    windowed: bool = True
     basis: Optional[tuple[int, ...]] = None
+
+    @property
+    def windowed(self) -> bool:
+        """Whether the family has a window slot, its first."""
+        return self.family in M_FAMILIES
 
     def name(self) -> str:
         if self.windowed:
@@ -368,7 +373,6 @@ class Presentation:
     generators: tuple[GeneratorFamily, ...]
     relators: tuple[FamilyInstance, ...]
     trims: tuple = ()  # ((family, (dlo, dhi)), ...)
-    notes: tuple = ()
 
     def trim_for(self, family: str) -> tuple[int, int]:
         for fam, d in self.trims:
@@ -380,7 +384,7 @@ class Presentation:
         """Index interval of each generator block: {(family, fixed): (lo, hi) or None}.
 
         A windowed block gets the window adjusted by its family's trim (an
-        empty interval has lo > hi); a block without a window index gets None.
+        empty interval has lo > hi); a block without a window slot gets None.
         """
         lo, hi = window
         if lo > hi:
@@ -447,32 +451,32 @@ def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
     """t's letters as (column prefix, window variable, offset, exponent), and
     the interval [lo, hi] of m that puts every letter inside its domain.
     The window variable is "m", or "" for a constant window index; a
-    letter of a block without a window index has None and None there.
+    letter of a family without a window slot has None and None there.
 
     This is the one window rule: every reader of a presentation over a
     window keeps the instances of t at exactly these m.  lo and hi stay
     infinite for a window-free template whose constant indices lie in
     their domains.  A letter of no declared block raises ShapeMismatch; a
-    variable in a trailing index slot, or one other than m in the first,
-    raises ParametricInput.
+    variable in a block slot (``words.letter_block``), or one other than m
+    in the window slot, raises ParametricInput.
     """
     letters, lo, hi = [], -math.inf, math.inf
     for letter in t.letters:
         fam, exprs, exp = letter
-        fixed = fixed_indices(exprs[1:])
-        if fixed is None:
+        block = letter_block(fam, exprs)
+        if block is None:
             raise ParametricInput("template variable in a trailing index slot of %s" % print_letter(letter))
+        if block not in domains:
+            raise ShapeMismatch("relator letter %s is in no declared generator block" % print_letter(letter))
+        if fam not in M_FAMILIES:
+            letters.append((block, None, None, exp))
+            continue
         var, off = exprs[0]
         if var and var != "m":
             raise ParametricInput("template variable %s in the window index slot of %s"
                                   % (var, print_letter(letter)))
-        if not var and domains.get((fam, (off,) + fixed), ()) is None:
-            letters.append(((fam, (off,) + fixed), None, None, exp))
-            continue
-        dom = domains.get((fam, fixed))
-        if dom is None:
-            raise ShapeMismatch("relator letter %s is in no declared generator block" % print_letter(letter))
-        letters.append(((fam, fixed), var, off, exp))
+        dom = domains[block]
+        letters.append((block, var, off, exp))
         if var:
             lo, hi = max(lo, dom[0] - off), min(hi, dom[1] - off)
         elif not dom[0] <= off <= dom[1]:
@@ -521,7 +525,7 @@ _GEN_F = GeneratorFamily("f", (0,))
 
 
 def _gen_c(n: int) -> list[GeneratorFamily]:
-    return [GeneratorFamily("c", (l,), windowed=False) for l in range(3, n)]
+    return [GeneratorFamily("c", (l,)) for l in range(3, n)]
 
 
 def _gen_g(n: int) -> list[GeneratorFamily]:
@@ -627,7 +631,7 @@ def wb4_final_presentation() -> Presentation:
     return Presentation(
         "wb",
         4,
-        (GeneratorFamily("c", (3,), windowed=False), _GEN_F),
+        (GeneratorFamily("c", (3,)), _GEN_F),
         expand_families(_WB4_FINAL, 4),
     )
 
@@ -850,8 +854,6 @@ def print_presentation(p: Presentation) -> str:
     for inst in p.relators:
         lines.append("  # %s" % inst.label)
         lines.append("  %s" % print_template(inst.template))
-    for note in p.notes:
-        lines.append("note: %s" % note)
     return "\n".join(lines) + "\n"
 
 
@@ -861,7 +863,6 @@ def parse_presentation(text: str) -> Presentation:
     gens: list[GeneratorFamily] = []
     rels: list[FamilyInstance] = []
     trims: list = []
-    notes: list[str] = []
     section = ""
     pending_label: Optional[str] = None
     counter = 0
@@ -872,16 +873,16 @@ def parse_presentation(text: str) -> Presentation:
         if line.startswith("group:"):
             group = line.split(":", 1)[1].strip()
             continue
-        if line.startswith("n:"):
-            n = int(line.split(":", 1)[1].strip())
-            continue
-        if line.startswith("trim:"):
-            parts = line.split(":", 1)[1].split()
-            trims.append((parts[0], (int(parts[1]), int(parts[2]))))
-            continue
-        if line.startswith("note:"):
-            notes.append(line.split(":", 1)[1].strip())
-            continue
+        try:
+            if line.startswith("n:"):
+                n = int(line.split(":", 1)[1])
+                continue
+            if line.startswith("trim:"):
+                fam, dlo, dhi = line.split(":", 1)[1].split()
+                trims.append((fam, (int(dlo), int(dhi))))
+                continue
+        except ValueError:
+            raise ParseError("bad line %r" % line) from None
         if line == "generators:":
             section = "generators"
             continue
@@ -889,29 +890,28 @@ def parse_presentation(text: str) -> Presentation:
             section = "relators"
             continue
         if section == "generators":
+            # one positive letter with constant block slots, read over "m in
+            # Z" or a seed set exactly when its family has a window slot, at m
+            name, windowed, dom = line.partition(" for m in ")
+            dom = dom.strip()
             basis: Optional[tuple[int, ...]] = None
-            name = line
-            if " for m in " in line:
-                name, dom = line.split(" for m in ")
-                dom = dom.strip()
-                if dom != "Z":
-                    if not (dom.startswith("{") and dom.endswith("}")):
-                        raise ParseError("bad generator domain %r" % dom)
+            if windowed and dom != "Z":
+                if not (dom.startswith("{") and dom.endswith("}")):
+                    raise ParseError("bad generator domain %r" % dom)
+                try:
                     basis = tuple(int(v) for v in dom[1:-1].split(","))
-                windowed = True
-            else:
-                windowed = False
+                except ValueError:
+                    raise ParseError("bad generator line %r" % line) from None
             t = parse_template(name.strip())
             if len(t) != 1:
                 raise ParseError("bad generator line %r" % line)
-            fam, exprs, _ = t.letters[0]
-            if windowed:
-                if exprs[0] != ("m", 0):
-                    raise ParseError("windowed generator must use plain m: %r" % line)
-                fixed = tuple(off for var, off in exprs[1:])
-            else:
-                fixed = tuple(off for var, off in exprs)
-            gens.append(GeneratorFamily(fam, fixed, windowed, basis))
+            fam, exprs, exp = t.letters[0]
+            if windowed and exprs[:1] != (("m", 0),):
+                raise ParseError("windowed generator must use plain m: %r" % line)
+            block = letter_block(fam, exprs)
+            if block is None or exp != 1 or bool(windowed) != (fam in M_FAMILIES):
+                raise ParseError("bad generator line %r" % line)
+            gens.append(GeneratorFamily(*block, basis))
         elif section == "relators":
             if line.startswith("#"):
                 pending_label = line[1:].strip()
@@ -922,7 +922,7 @@ def parse_presentation(text: str) -> Presentation:
             rels.append(FamilyInstance(label, parse_template(line)))
         else:
             raise ParseError("unexpected line %r" % line)
-    return Presentation(group, n, tuple(gens), tuple(rels), tuple(trims), tuple(notes))
+    return Presentation(group, n, tuple(gens), tuple(rels), tuple(trims))
 
 
 def print_finite(fp: FinitePresentation) -> str:

@@ -36,7 +36,7 @@ from . import presets
 from .errors import BadRank, NotSolvable, ScriptPreconditionFailed
 from .presets import FamilyInstance, GeneratorSummary, Presentation, generator_count
 from .rewriting import template_canon_key, torsion_merge
-from .words import TemplateWord, fixed_indices, print_template
+from .words import TemplateWord, letter_block, print_template
 
 # ---------------------------------------------------------------------------
 # Presentation surgery helpers
@@ -195,17 +195,11 @@ def reduce_family_to_seeds(p: Presentation, family: str, fixed: tuple, via: str)
     t = _relator(p, via).template
     span = _seed_span(t, family, fixed)
     targets = set(t.target_letters(family, fixed))
+    blocks = {(gen.family, gen.fixed): gen for gen in p.generators}
     for idx, (fam, exprs, _) in enumerate(t.letters):
         if idx in targets:
             continue
-        gen = next(
-            (
-                cand
-                for cand in p.generators
-                if cand.family == fam and cand.fixed == fixed_indices(exprs[1:] if cand.windowed else exprs)
-            ),
-            None,
-        )
+        gen = blocks.get(letter_block(fam, exprs))
         if gen is None:
             raise ScriptPreconditionFailed("recurrence mentions an unknown family %s" % fam)
         if gen.windowed and gen.basis is None:
@@ -215,8 +209,6 @@ def reduce_family_to_seeds(p: Presentation, family: str, fixed: tuple, via: str)
     seeds = tuple(range(span))
     k = _block(p, family, fixed)
     gen = p.generators[k]
-    if not gen.windowed:
-        raise ScriptPreconditionFailed("family %s%s is not windowed" % (family, fixed))
     gens = p.generators[:k] + (dataclasses.replace(gen, basis=seeds),) + p.generators[k + 1 :]
     record = {
         "op": "seeds",

@@ -15,7 +15,10 @@ A template letter is ``(family, exprs, exp)``, one ``(var, offset)`` per
 index slot and ``var`` ``""`` for a constant: a tuple of strings and ints
 that Python orders as it stands, so letters are their own keys in
 canonical forms.  Other modules read the format through
-``TemplateWord.target_letters``, ``fixed_indices`` and ``print_letter``.
+``TemplateWord.target_letters``, ``letter_block`` and ``print_letter``.
+``letter_block`` is the one generator-block rule: an a/b/f/g letter's
+first slot is its window index, so f(m,0) lies in block f(.,0), while a
+c letter has no window slot and c(3) is a block of its own.
 
 Word syntax, shared by the parser and printer::
 
@@ -49,6 +52,18 @@ FAMILIES = {
 }
 
 M_FAMILIES = ("a", "b", "f", "g")
+
+
+def letter_block(family: str, exprs: tuple) -> Optional[tuple]:
+    """The generator block ``(family, fixed)`` of a template letter: the
+    constants of its slots after the window slot, which only M_FAMILIES
+    letters have; None when one of those slots holds a variable."""
+    fixed = []
+    for var, off in exprs[1:] if family in M_FAMILIES else exprs:
+        if var:
+            return None
+        fixed.append(off)
+    return family, tuple(fixed)
 
 
 def _validate(family: str, indices: tuple) -> None:
@@ -234,16 +249,6 @@ def _constants(values: Iterable[int]) -> tuple[IndexExpr, ...]:
     return tuple(("", v) for v in values)
 
 
-def fixed_indices(exprs: tuple[IndexExpr, ...]) -> Optional[tuple[int, ...]]:
-    """The integers of index expressions that are all constant, else None."""
-    out = []
-    for var, off in exprs:
-        if var:
-            return None
-        out.append(off)
-    return tuple(out)
-
-
 def _treduce(letters: Iterable[TLetter]) -> tuple[TLetter, ...]:
     stack: list[TLetter] = []
     for fam, exprs, exp in letters:
@@ -323,15 +328,13 @@ class TemplateWord:
         )
 
     def blocks(self) -> frozenset:
-        """The (family, fixed) pairs of the letters whose trailing slots are
-        all constant, ``fixed`` holding those constants."""
+        """The generator blocks (family, fixed) of the letters whose block
+        slots are all constant, ``fixed`` holding those constants."""
         try:
             return self._blocks
         except AttributeError:
-            raw = {(fam, exprs[1:]) for fam, exprs, _ in self.letters}
-            out = frozenset(
-                (fam, fixed) for fam, rest in raw if (fixed := fixed_indices(rest)) is not None
-            )
+            raw = {(fam, exprs) for fam, exprs, _ in self.letters}  # each letter once
+            out = frozenset(letter_block(fam, exprs) for fam, exprs in raw) - {None}
             object.__setattr__(self, "_blocks", out)
             return out
 
@@ -406,23 +409,24 @@ class TemplateWord:
         return TemplateWord(self.letters[k:] + self.letters[:k])
 
     def substitute_family(self, family: str, fixed: tuple, replacement: "TemplateWord") -> "TemplateWord":
-        """Replace every letter of ``family`` with the given trailing indices.
+        """Replace every letter of the generator block (family, fixed).
 
         ``replacement`` is a template describing the letter whose window
         index is plain ``m``; it is realigned to each occurrence's own
         window index (shifted for affine indices, bound for constants).
-        A template without such a letter is returned as it is.
+        A letter without a window slot takes it as it stands.  A template
+        without such a letter is returned as it is.
         """
         if (family, fixed) in replacement.blocks():
             raise CyclicSubstitution("replacement mentions %s%s itself" % (family, fixed))
         if (family, fixed) not in self.blocks():
             return self
-        want = _constants(fixed)
+        want = (family, fixed)
         rep_inv = replacement.inverse()
         out: list[TLetter] = []
         for fam, exprs, exp in self.letters:
-            if fam == family and exprs[1:] == want:
-                var, off = exprs[0]
+            if fam == family and letter_block(fam, exprs) == want:
+                var, off = exprs[0] if family in M_FAMILIES else ("m", 0)
                 chosen = replacement if exp == 1 else rep_inv
                 if var == "m":
                     rep = chosen.shift(off)
@@ -437,9 +441,10 @@ class TemplateWord:
 
     def target_letters(self, family: str, fixed: tuple) -> list[int]:
         """Positions of the letters of the block (family, fixed): the
-        family's letters whose trailing slots hold the constants ``fixed``."""
-        want = _constants(fixed)
-        return [i for i, (fam, exprs, _) in enumerate(self.letters) if fam == family and exprs[1:] == want]
+        family's letters whose block slots hold the constants ``fixed``."""
+        want = (family, fixed)
+        return [i for i, (fam, exprs, _) in enumerate(self.letters)
+                if fam == family and letter_block(fam, exprs) == want]
 
     def m_offsets(self) -> list[int]:
         """Offsets of the window variable in first slots."""

@@ -586,6 +586,26 @@ def test_a_variable_other_than_m_in_the_window_slot_raises_parametric_input():
     assert abelianization(bound, (-2, 2))["torsion"] == [3] * 5
 
 
+def test_a_c_block_is_one_column_of_its_own():
+    gens = (GeneratorFamily("c", (3,)), GeneratorFamily("f", (0,)))
+    conj = FamilyInstance("conj", parse_template("c(3) f(m,0) c(3)^-1 f(m+1,0)^-1"))
+    p = Presentation("wb", 4, gens, (conj,))
+    assert [gen.windowed for gen in gens] == [False, True]
+    domains = p.domains((-2, 2))
+    letters, lo, hi = presets.span(conj.template, domains)
+    assert letters == [
+        (("c", (3,)), None, None, 1), (("f", (0,)), "m", 0, 1),
+        (("c", (3,)), None, None, -1), (("f", (0,)), "m", 1, -1),
+    ]
+    assert (lo, hi) == (-2, 1)
+    # c(3) and f(-2..2), with f(m) = f(m+1) at m = -2..1
+    out = abelianization(p, (-2, 2))
+    assert (out["generators"], out["relator_instances"]) == (6, 4)
+    assert (out["torsion"], out["free_rank"]) == ([], 2)
+    with pytest.raises(ShapeMismatch, match=r"c\(4\)"):
+        presets.span(parse_template("c(4) f(m,0)"), domains)
+
+
 def builder_cases():
     for group in ("vb", "wb"):
         for n in range(3, 9):

@@ -4,8 +4,10 @@ Everything runs in process through main(argv); report files land in a
 temporary BRAIDSUB_OUTDIR.
 """
 
+import errno
 import hashlib
 import json
+import os
 import sys
 import tracemalloc
 
@@ -107,7 +109,9 @@ def whole_report_verify(args) -> int:
         group = cli._lemma_group(lemma, args.group)
         reports.append(cli._sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
     obj = reports[0] if args.lemma != "ALL" else {"n": args.n, "lemmas": reports}
-    text = cli._write_report("verify-%s.json" % args.lemma, obj)
+    text = cli._dump_json(obj)
+    with open(os.path.join(cli._outdir(), "verify-%s.json" % args.lemma), "w", encoding="utf-8") as fh:
+        fh.write(text)
     mismatches = 0
     for rep in reports:
         for case in rep["cases"]:
@@ -353,6 +357,36 @@ def test_report_text_shows_evidence_of_failing_rows(capsys, monkeypatch):
         "pass Cor 1.2(1)       t",
         "overall: FAIL",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_failed_report_write_keeps_the_old_report(capsys, monkeypatch, outdir, fmt):
+    earlier = b'{"earlier": "run"}\n'
+    (outdir / "report.json").write_bytes(earlier)
+    rows = [{"claim": "Theorem 1.1", "statement": "s", "status": "pass", "evidence": {"x": 1}}]
+    monkeypatch.setattr(cli, "build_report", lambda: {"rows": rows, "pass": True})
+
+    def full_disk(path, mode="r", **kwargs):
+        # a file that takes 40 characters and then reports a full disk
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            room = [40]
+
+            def write(text):
+                fh.__class__.write(fh, text[: room[0]])
+                room[0] -= min(room[0], len(text))
+                if not room[0]:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    with pytest.raises(OSError):
+        main(["report", "--format", fmt])
+    assert capsys.readouterr().out == ""
+    assert [f.name for f in outdir.iterdir()] == ["report.json"]
+    assert (outdir / "report.json").read_bytes() == earlier
 
 
 def test_outputs_are_deterministic(capsys):

@@ -6,6 +6,7 @@ function shows up as a count mismatch.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -205,7 +206,7 @@ def test_generator_count_summary():
         3,
         (
             GeneratorFamily("f", (0,), basis=(0, 1, 2)),
-            GeneratorFamily("c", (3,), windowed=False),
+            GeneratorFamily("c", (3,)),
         ),
         (),
     )
@@ -295,7 +296,6 @@ def test_presentation_text_round_trip():
             3,
             (GeneratorFamily("f", (0,), basis=(0, 1)),),
             (),
-            notes=("kept for the record",),
         ),
     ]
     for group in ("vb", "wb"):
@@ -310,6 +310,28 @@ def test_presentation_text_round_trip():
         text = print_presentation(p)
         assert parse_presentation(text) == p
         assert print_presentation(parse_presentation(text)) == text
+    with pytest.raises(ParseError):
+        parse_presentation(print_presentation(presentations[2]) + "note: kept for the record\n")
+
+
+@pytest.mark.parametrize("line", [
+    "n: four",
+    "trim: a +0",
+    "trim: a +0 one",
+    "f(m,0) for m in {}",
+    "f(m,0) for m in {a}",
+    "f(m,j) for m in Z",
+    "g(m,i) for m in {0,1}",
+    "c(i)",
+    "c(3)^-1",
+    "a(3)",
+    "c(3) for m in Z",
+    "x() for m in Z",
+])
+def test_parse_presentation_names_a_malformed_line(line):
+    text = "group: vb\nn: 4\ngenerators:\n  %s\n  c(3)\nrelators:\n  c(3) c(3)\n" % line
+    with pytest.raises(ParseError, match=re.escape(repr(line))):
+        parse_presentation(text)
 
 
 def test_lemma_tables_are_consistent():

@@ -195,6 +195,23 @@ def test_seeds_and_preconditions():
     )
     with pytest.raises(ScriptPreconditionFailed):
         reduce_family_to_seeds(leaning, "f", (0,), "r")
+    # a c letter names its block by its strand index
+    conj = Presentation(
+        "wb",
+        5,
+        (GeneratorFamily("c", (3,)), GeneratorFamily("f", (0,))),
+        (
+            FamilyInstance("r", parse_template("c(3) f(m,0) c(3)^-1 f(m+1,0)^-1")),
+            FamilyInstance("stray", parse_template("c(4) f(m,0) c(4)^-1 f(m+1,0)^-1")),
+        ),
+    )
+    _, rec = reduce_family_to_seeds(conj, "f", (0,), "r")
+    assert rec["seeds"] == [0]
+    with pytest.raises(ScriptPreconditionFailed, match="^recurrence mentions an unknown family c$"):
+        reduce_family_to_seeds(conj, "f", (0,), "stray")
+    # a block without a window slot has no seeds
+    with pytest.raises(ScriptPreconditionFailed, match="not in the window variable"):
+        reduce_family_to_seeds(conj, "c", (3,), "r")
     p = derived_presentation("vb", 3)
     # before the b eliminations the recurrence does not mention f at all
     with pytest.raises(NotSolvable):

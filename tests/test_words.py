@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from braidsub.errors import CyclicSubstitution, ParametricInput, ParseError
 from braidsub.words import (
+    M_FAMILIES,
     Symbol,
     TemplateWord,
     Word,
@@ -22,7 +23,7 @@ from braidsub.words import (
     c,
     f,
     g,
-    fixed_indices,
+    letter_block,
     lift,
     m_lift,
     parse_template,
@@ -214,7 +215,18 @@ def test_constant_slots_are_empty_names_and_letters_order_natively():
     assert [l[0] for l in sorted(t.letters)] == ["a", "c", "f", "g", "sigma"]
     assert [print_letter(l) for l in t.letters] == print_template(t).split()
     assert t.target_letters("g", (3,)) == [0] and t.target_letters("f", (2, 0)) == []
-    assert fixed_indices(t.letters[1][1]) == (2, 0) and fixed_indices(t.letters[4][1]) is None
+    assert letter_block(*t.letters[1][:2]) == ("f", (0,)) and letter_block(*t.letters[3][:2]) == ("c", (4,))
+    assert letter_block(*t.letters[4][:2]) == ("a", ()) and letter_block("c", (("i", 0),)) is None
+
+
+def test_a_letter_without_a_window_slot_names_its_block_with_every_slot():
+    t = parse_template("c(3) f(m,0) c(3)^-1 f(m+1,0)^-1")
+    assert t.blocks() == parse_template("c(3) f(m,0)").blocks() == {("c", (3,)), ("f", (0,))}
+    assert t.target_letters("c", (3,)) == [0, 2] and t.target_letters("f", (0,)) == [1, 3]
+    assert t.target_letters("c", ()) == [] and t.target_letters("c", (4,)) == []
+    # the replacement of a window-free letter is not realigned
+    out = t.substitute_family("c", (3,), parse_template("a(m) f(2,1)"))
+    assert print_template(out) == "a(m) f(2,1) f(m,0) f(2,1)^-1 a(m)^-1 f(m+1,0)^-1"
 
 
 def test_lift_round_trip():
@@ -267,17 +279,21 @@ def test_template_caches_match_uncached_oracles(t, k):
     assert hash(t) == hash(t.letters) == hash(TemplateWord(t.letters))
     assert text == " ".join(print_letter(l) for l in t.letters) or text == "1"
     # the block set and each block's letters against a scan of the
-    # letters, both ways
+    # letters, both ways: an a/b/f/g letter's block slots are its trailing
+    # ones, every other letter's are all of its slots
+    def slots(fam, exprs):
+        return exprs[1:] if fam in M_FAMILIES else exprs
+
     blocks = t.blocks()
     for fam, exprs, _ in t.letters:
-        if all(var == "" for var, _ in exprs[1:]):
-            assert (fam, tuple(v for _, v in exprs[1:])) in blocks
-            assert fixed_indices(exprs[1:]) == tuple(v for _, v in exprs[1:])
+        if all(var == "" for var, _ in slots(fam, exprs)):
+            assert (fam, tuple(v for _, v in slots(fam, exprs))) in blocks
+            assert letter_block(fam, exprs) == (fam, tuple(v for _, v in slots(fam, exprs)))
         else:
-            assert fixed_indices(exprs[1:]) is None
+            assert letter_block(fam, exprs) is None
     for family, fixed in blocks:
         want = tuple(("", v) for v in fixed)
-        spots = [i for i, (fam, exprs, _) in enumerate(t.letters) if fam == family and exprs[1:] == want]
+        spots = [i for i, (fam, exprs, _) in enumerate(t.letters) if fam == family and slots(fam, exprs) == want]
         assert spots and t.target_letters(family, fixed) == spots
     # shift and inverse skip free reduction: their letters are reduced
     # already, and shift moves exactly the m slots
