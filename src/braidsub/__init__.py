@@ -9,7 +9,6 @@ from .abelianize import (
     abelian_invariants,
     abelianization,
     check_perfect,
-    f_killed_quotient,
     relation_matrix,
     smith_normal_form,
     snf,
@@ -74,5 +73,4 @@ __all__ = [
     "abelian_invariants",
     "stabilization_profile",
     "check_perfect",
-    "f_killed_quotient",
 ]

@@ -37,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 from . import presets
 from .errors import EmptyWindow, ShapeMismatch, WindowTooNarrow
 from .presets import FinitePresentation, Presentation
-from .words import TemplateWord
 
 Matrix = list[list[int]]
 
@@ -431,29 +430,6 @@ def check_perfect(group: str, n: int, windows=DEFAULT_WINDOWS) -> dict:
     return {
         "verdict": "consistent with perfect" if ok else "not perfect",
         "profile": prof,
-    }
-
-
-def f_killed_quotient(p: Presentation) -> dict:
-    """Kill the f family in a two-family presentation and classify the rest.
-
-    Expects generator families {a, f}.  When every relator template
-    becomes freely trivial after erasing the f letters, the quotient is
-    free on the surviving family.
-    """
-    fams = {gen.family for gen in p.generators}
-    if fams != {"a", "f"}:
-        raise ShapeMismatch("expected generator families a and f, got %s" % sorted(fams))
-    empty = TemplateWord(())
-    survivors = []
-    for inst in p.relators:
-        t = inst.template.substitute_family("f", (0,), empty)
-        if t:
-            survivors.append(inst.label)
-    return {
-        "verdict": "free" if not survivors else "unresolved",
-        "survivors": survivors,
-        "basis_family": "a",
     }
 
 

@@ -12,6 +12,10 @@ This module holds the group-level data used everywhere else:
   from;
 * the catalog spellings of the b, second-bit f and welded a letters in
   the f and a families, which every substitution of them reads;
+* the reference presentations of the stability profiles: the three
+  final presentations the paper states (``stated_final``: VB_3', WB_3'
+  and WB_4') and the b-free catalog at every other rank
+  (``reduced_presentation``);
 * the :class:`Presentation` container for parametric presentations (a
   finite list of relator templates in the window variable ``m``) with
   window instantiation, generator accounting, and a plain-text format;
@@ -76,42 +80,33 @@ def _needs_c3(n: int) -> list:
     return [{}] if n >= 4 else []
 
 
-def _range_i3(n: int, low: int = 3) -> list:
-    return [{"i": i} for i in range(low, n)]
+def _strands(name: str, low: int) -> DomainFn:
+    """One strand index ``name`` from ``low``."""
+    return lambda n: [{name: v} for v in range(low, n)]
 
 
-def _range_j3(n: int) -> list:
-    return [{"j": j} for j in range(3, n)]
+def _adjacent(low: int) -> DomainFn:
+    """A strand i from ``low`` with its neighbour i+1."""
+    return lambda n: [{"i": i} for i in range(low, n - 1)]
 
 
-def _range_j4(n: int) -> list:
-    return [{"j": j} for j in range(4, n)]
+def _far(low: int) -> DomainFn:
+    """Strand pairs i < j at distance at least 2, both from ``low``."""
+    return lambda n: [{"i": i, "j": j} for i in range(low, n) for j in range(i + 2, n)]
 
 
-def _range_k4(n: int) -> list:
-    return [{"k": k} for k in range(4, n)]
-
-
-def _range_adj(n: int, low: int = 3) -> list:
-    return [{"i": i} for i in range(low, n - 1)]
-
-
-def _pairs_far(n: int, low: int = 3) -> list:
-    return [{"i": i, "j": j} for i in range(low, n) for j in range(i + 2, n)]
-
-
-def _pairs_apart(n: int) -> list:
-    """Ordered strand pairs at distance at least 2, both from strand 1."""
-    return [{"i": i, "j": j} for i in range(1, n) for j in range(1, n) if abs(i - j) > 1]
-
-
-def _cg_pairs(n: int) -> list:
-    return [
-        {"k": k, "l": l}
-        for k in range(3, n)
-        for l in range(3, n)
-        if abs(k - l) > 1
+def _apart(first: str, second: str, low: int) -> DomainFn:
+    """Ordered strand pairs at distance at least 2, both from ``low``."""
+    return lambda n: [
+        {first: i, second: j} for i in range(low, n) for j in range(low, n) if abs(i - j) > 1
     ]
+
+
+# Each domain is built once, so equal shapes are the same object.  The
+# ambient strand ranges start at strand 1, the derived ones at 3.
+_I1, _ADJ1, _FAR1, _APART1 = _strands("i", 1), _adjacent(1), _far(1), _apart("i", "j", 1)
+_I3, _J3, _J4, _K4 = _strands("i", 3), _strands("j", 3), _strands("j", 4), _strands("k", 4)
+_ADJ3, _FAR3, _APART3 = _adjacent(3), _far(3), _apart("k", "l", 3)
 
 
 @dataclass(frozen=True)
@@ -156,29 +151,24 @@ def expand_families(families: Iterable[RelatorFamily], n: int) -> tuple[FamilyIn
 # Ambient presentations
 # ---------------------------------------------------------------------------
 
-# The ambient strand ranges start at strand 1, the derived ones at 3.
-_ambient_i = functools.partial(_range_i3, low=1)
-_ambient_adj = functools.partial(_range_adj, low=1)
-_ambient_far = functools.partial(_pairs_far, low=1)
-
 # The seven relation shapes of the virtual group.
 AMBIENT_VB_FAMILIES: tuple[RelatorFamily, ...] = (
-    RelatorFamily("braid-commute", "sigma(i) sigma(j) sigma(i)^-1 sigma(j)^-1", _ambient_far),
+    RelatorFamily("braid-commute", "sigma(i) sigma(j) sigma(i)^-1 sigma(j)^-1", _FAR1),
     RelatorFamily(
         "braid-adjacent",
         "sigma(i) sigma(i+1) sigma(i) sigma(i+1)^-1 sigma(i)^-1 sigma(i+1)^-1",
-        _ambient_adj,
+        _ADJ1,
     ),
-    RelatorFamily("symmetric-involution", "rho(i) rho(i)", _ambient_i),
-    RelatorFamily("symmetric-commute", "rho(i) rho(j) rho(i) rho(j)", _ambient_far),
-    RelatorFamily("symmetric-adjacent", "rho(i) rho(i+1) rho(i) rho(i+1) rho(i) rho(i+1)", _ambient_adj),
-    RelatorFamily("mixed-commute", "sigma(i) rho(j) sigma(i)^-1 rho(j)", _pairs_apart),
-    RelatorFamily("mixed-adjacent", "rho(i) rho(i+1) sigma(i) rho(i+1) rho(i) sigma(i+1)^-1", _ambient_adj),
+    RelatorFamily("symmetric-involution", "rho(i) rho(i)", _I1),
+    RelatorFamily("symmetric-commute", "rho(i) rho(j) rho(i) rho(j)", _FAR1),
+    RelatorFamily("symmetric-adjacent", "rho(i) rho(i+1) rho(i) rho(i+1) rho(i) rho(i+1)", _ADJ1),
+    RelatorFamily("mixed-commute", "sigma(i) rho(j) sigma(i)^-1 rho(j)", _APART1),
+    RelatorFamily("mixed-adjacent", "rho(i) rho(i+1) sigma(i) rho(i+1) rho(i) sigma(i+1)^-1", _ADJ1),
 )
 
 # The welded move: the extra relation shape of the welded group.
 AMBIENT_WELDED_FAMILIES: tuple[RelatorFamily, ...] = (
-    RelatorFamily("welded", "rho(i) sigma(i+1) sigma(i) rho(i+1) sigma(i)^-1 sigma(i+1)^-1", _ambient_adj),
+    RelatorFamily("welded", "rho(i) sigma(i+1) sigma(i) rho(i+1) sigma(i)^-1 sigma(i+1)^-1", _ADJ1),
 )
 
 
@@ -192,26 +182,6 @@ def _for_group(group: str, vb_families: tuple, welded_families: tuple) -> tuple:
 
 def ambient_relator_families(group: str) -> tuple[RelatorFamily, ...]:
     return _for_group(group, AMBIENT_VB_FAMILIES, AMBIENT_WELDED_FAMILIES)
-
-
-@dataclass(frozen=True)
-class AmbientFamily:
-    """One labelled family of ambient relators with its concrete cases."""
-
-    label: str
-    cases: tuple  # ((params_dict, Word), ...)
-
-
-def ambient_family(fam: RelatorFamily, n: int) -> AmbientFamily:
-    """The concrete cases of one ambient relator row at rank n."""
-    return AmbientFamily(
-        fam.label, tuple((aux, fam.template.instantiate(**aux)) for aux in fam.domain(n))
-    )
-
-
-def ambient_families(group: str, n: int) -> tuple[AmbientFamily, ...]:
-    check_rank(n)
-    return tuple(ambient_family(fam, n) for fam in ambient_relator_families(group))
 
 
 @dataclass(frozen=True)
@@ -242,18 +212,18 @@ _MAIN_B = [
     RelatorFamily(
         "b0-c-commute",
         "b(m,0) c(j) b(m+1,0)^-1 c(j)^-1",
-        _range_j4,
+        _J4,
         note=(
             "one stated domain bounds the strand index strictly above 4;"
             " the derivation yields every j >= 4"
         ),
     ),
-    RelatorFamily("c-c-commute", "c(i) c(j) c(i)^-1 c(j)^-1", _pairs_far),
-    RelatorFamily("b1-c-commute", "b(m,1) a(m)^-1 c(j) a(m+1) b(m+1,1)^-1 c(j)^-1", _range_j4),
-    RelatorFamily("c-a-c-commute", "c(i) a(m)^-1 c(j) c(i)^-1 a(m) c(j)^-1", _pairs_far),
+    RelatorFamily("c-c-commute", "c(i) c(j) c(i)^-1 c(j)^-1", _FAR3),
+    RelatorFamily("b1-c-commute", "b(m,1) a(m)^-1 c(j) a(m+1) b(m+1,1)^-1 c(j)^-1", _J4),
+    RelatorFamily("c-a-c-commute", "c(i) a(m)^-1 c(j) c(i)^-1 a(m) c(j)^-1", _FAR3),
     RelatorFamily("b0-recurrence", "b(m+1,0) b(m+2,0)^-1 b(m,0)^-1"),
     RelatorFamily("b0-c3-braid", "b(m,0) c(3) b(m+2,0) c(3)^-1 b(m+1,0)^-1 c(3)^-1", _needs_c3),
-    RelatorFamily("c-braid", "c(i) c(i+1) c(i) c(i+1)^-1 c(i)^-1 c(i+1)^-1", _range_adj),
+    RelatorFamily("c-braid", "c(i) c(i+1) c(i) c(i+1)^-1 c(i)^-1 c(i+1)^-1", _ADJ3),
     RelatorFamily("b1-recurrence", "a(m) b(m+1,1) a(m+2) b(m+2,1)^-1 a(m+1)^-1 b(m,1)^-1"),
     RelatorFamily(
         "b1-c3-braid",
@@ -263,35 +233,35 @@ _MAIN_B = [
     RelatorFamily(
         "c-a-braid",
         "c(i) a(m)^-1 c(i+1) a(m)^-1 c(i) c(i+1)^-1 a(m) c(i)^-1 a(m) c(i+1)^-1",
-        _range_adj,
+        _ADJ3,
     ),
 ]
 
 # Symmetric-letter consequences.
 _MAIN_S = [
-    RelatorFamily("g-involution", "g(m,i) g(m,i)", _range_i3),
-    RelatorFamily("f-g-commute", "f(m,0) g(m,k) f(m,0) g(m,k)", _range_k4),
-    RelatorFamily("g-g-commute", "g(m,i) g(m,j) g(m,i) g(m,j)", _pairs_far),
+    RelatorFamily("g-involution", "g(m,i) g(m,i)", _I3),
+    RelatorFamily("f-g-commute", "f(m,0) g(m,k) f(m,0) g(m,k)", _K4),
+    RelatorFamily("g-g-commute", "g(m,i) g(m,j) g(m,i) g(m,j)", _FAR3),
     RelatorFamily("f-cube", "f(m,0) f(m,0) f(m,0)"),
     RelatorFamily("f-g3-braid", "f(m,0) g(m,3) f(m,0) g(m,3) f(m,0) g(m,3)", _needs_c3),
     RelatorFamily(
         "g-g-braid",
         "g(m,i) g(m,i+1) g(m,i) g(m,i+1) g(m,i) g(m,i+1)",
-        _range_adj,
+        _ADJ3,
     ),
 ]
 
 # Mixed consequences.
 _MAIN_M = [
-    RelatorFamily("g-a-g", "g(m+1,i) a(m)^-1 g(m,i)", _range_i3),
-    RelatorFamily("b-g-conjugate", "b(m,1) g(m+1,j) b(m,0)^-1 g(m,j)", _range_j4),
-    RelatorFamily("c-g-conjugate", "c(k) g(m+1,l) c(k)^-1 g(m,l)", _cg_pairs),
-    RelatorFamily("c-f-conjugate", "c(j) f(m+1,0) c(j)^-1 f(m,0)^-1", _range_j4),
+    RelatorFamily("g-a-g", "g(m+1,i) a(m)^-1 g(m,i)", _I3),
+    RelatorFamily("b-g-conjugate", "b(m,1) g(m+1,j) b(m,0)^-1 g(m,j)", _J4),
+    RelatorFamily("c-g-conjugate", "c(k) g(m+1,l) c(k)^-1 g(m,l)", _APART3),
+    RelatorFamily("c-f-conjugate", "c(j) f(m+1,0) c(j)^-1 f(m,0)^-1", _J4),
     RelatorFamily("f-step-b0", "f(m,0)^-1 f(m+1,0) b(m,0)^-1"),
     RelatorFamily("f-a-step-b1", "f(m,0) a(m) f(m+1,0)^-1 b(m,1)^-1"),
     RelatorFamily("f-g3-c3-braid-0", "f(m,0) g(m,3) b(m,0) g(m+1,3) f(m+1,0)^-1 c(3)^-1", _needs_c3),
     RelatorFamily("f-g3-c3-braid-1", "f(m,0)^-1 g(m,3) b(m,1) g(m+1,3) f(m+1,0) c(3)^-1", _needs_c3),
-    RelatorFamily("g-g-c-braid", "g(m,i) g(m,i+1) c(i) g(m+1,i+1) g(m+1,i) c(i+1)^-1", _range_adj),
+    RelatorFamily("g-g-c-braid", "g(m,i) g(m,i+1) c(i) g(m+1,i+1) g(m+1,i) c(i+1)^-1", _ADJ3),
 ]
 
 MAIN_VB_FAMILIES: tuple[RelatorFamily, ...] = tuple(_MAIN_B + _MAIN_S + _MAIN_M)
@@ -302,11 +272,11 @@ WELDED_FAMILIES: tuple[RelatorFamily, ...] = (
     RelatorFamily("welded-a-f-inverse", "b(m,0) f(m+2,0) a(m+1)^-1 b(m,1)^-1"),
     RelatorFamily("welded-c3-braid-0", "f(m,0) c(3) b(m+1,1) g(m+2,3) b(m+1,0)^-1 c(3)^-1", _needs_c3),
     RelatorFamily("welded-c3-braid-1", "f(m,0)^-1 c(3) b(m+1,0) g(m+2,3) b(m+1,1)^-1 c(3)^-1", _needs_c3),
-    RelatorFamily("welded-c-shift", "g(m,i) c(i+1) c(i) g(m+2,i+1) c(i)^-1 c(i+1)^-1", _range_adj),
+    RelatorFamily("welded-c-shift", "g(m,i) c(i+1) c(i) g(m+2,i+1) c(i)^-1 c(i+1)^-1", _ADJ3),
     RelatorFamily(
         "welded-c-a-shift",
         "g(m,i) c(i+1) a(m)^-1 c(i) a(m+1) g(m+2,i+1) a(m+1)^-1 c(i)^-1 a(m) c(i+1)^-1",
-        _range_adj,
+        _ADJ3,
     ),
 )
 
@@ -465,7 +435,8 @@ def span(t: TemplateWord, domains: dict) -> tuple[list, float, float]:
         fam, exprs, exp = letter
         block = letter_block(fam, exprs)
         if block is None:
-            raise ParametricInput("template variable in a trailing index slot of %s" % print_letter(letter))
+            slot = "a trailing index slot" if fam in M_FAMILIES else "the strand index slot"
+            raise ParametricInput("template variable in %s of %s" % (slot, print_letter(letter)))
         if block not in domains:
             raise ShapeMismatch("relator letter %s is in no declared generator block" % print_letter(letter))
         if fam not in M_FAMILIES:
@@ -547,10 +518,6 @@ def derived_presentation(group: str, n: int) -> Presentation:
     return Presentation(group, n, derived_generators(n), rels)
 
 
-def vb3_initial_presentation() -> Presentation:
-    return derived_presentation("vb", 3)
-
-
 _VB3_FINAL = (
     RelatorFamily(
         "f-recurrence",
@@ -564,28 +531,12 @@ _VB3_FINAL = (
 )
 
 
-def vb3_final_presentation() -> Presentation:
-    return Presentation(
-        "vb", 3, (_GEN_A, _GEN_F), expand_families(_VB3_FINAL, 3)
-    )
-
-
 _WB3_FINAL = _VB3_FINAL + (
     RelatorFamily(
         "a-f-step-braid",
         "a(m) f(m+1,0)^-1 a(m+1) f(m+2,0)^-1 f(m+1,0)^-1 f(m,0)^-1",
     ),
 )
-
-
-def wb3_final_presentation() -> Presentation:
-    return Presentation(
-        "wb",
-        3,
-        (_GEN_A, _GEN_F),
-        expand_families(_WB3_FINAL, 3),
-        trims=(("a", (0, -1)),),
-    )
 
 
 _WB4_FINAL = (
@@ -627,13 +578,26 @@ _WB4_FINAL = (
 )
 
 
-def wb4_final_presentation() -> Presentation:
-    return Presentation(
-        "wb",
-        4,
-        (GeneratorFamily("c", (3,)), _GEN_F),
-        expand_families(_WB4_FINAL, 4),
-    )
+# The presentations the paper states as final, VB_3' (Corollary 1.2)
+# and WB_3', WB_4' (Theorem 1.3): (group, rank) -> (generator blocks,
+# relator families, trims).  A presentation is built when it is asked
+# for, so importing the module builds none.
+_STATED_FINALS = {
+    ("vb", 3): ((_GEN_A, _GEN_F), _VB3_FINAL, ()),
+    ("wb", 3): ((_GEN_A, _GEN_F), _WB3_FINAL, (("a", (0, -1)),)),
+    ("wb", 4): ((GeneratorFamily("c", (3,)), _GEN_F), _WB4_FINAL, ()),
+}
+
+
+def stated_final(group: str, n: int) -> Optional[Presentation]:
+    """The final presentation the paper states for the derived subgroup:
+    VB_3' at ("vb", 3), WB_3' at ("wb", 3) and WB_4' at ("wb", 4); None
+    at every other group and rank, whose reference is the engine's own
+    b-free catalog (``reduced_presentation``)."""
+    if (group, n) not in _STATED_FINALS:
+        return None
+    gens, families, trims = _STATED_FINALS[group, n]
+    return Presentation(group, n, gens, expand_families(families, n), trims)
 
 
 def _b_free_presentation(group: str, n: int) -> Presentation:
@@ -652,28 +616,16 @@ def _b_free_presentation(group: str, n: int) -> Presentation:
     return Presentation(group, n, tuple(gens), tuple(rels), trims=(("a", (0, -1)),))
 
 
-def braid_reduced_presentation(n: int) -> Presentation:
-    """The b-free form of the merged virtual catalog (rank >= 4)."""
-    check_rank(n)
-    if n < 4:
-        raise BadRank("the b-free catalog needs rank >= 4, got %d" % n)
-    return _b_free_presentation("vb", n)
-
-
 def reduced_presentation(group: str, n: int) -> Presentation:
-    """The reference presentation used for stability profiles."""
+    """The reference presentation used for stability profiles: the stated
+    final list at vb n=3, wb n=3 and wb n=4 (``stated_final``), and the
+    b-free engine catalog at every other rank from 3 (vb n >= 4, wb
+    n >= 5)."""
     check_rank(n)
     if n < 3:
         raise BadRank("reduced presentations start at rank 3, got %d" % n)
-    if group == "vb":
-        return vb3_final_presentation() if n == 3 else braid_reduced_presentation(n)
-    if group == "wb":
-        if n == 3:
-            return wb3_final_presentation()
-        if n == 4:
-            return wb4_final_presentation()
-        return _b_free_presentation("wb", n)
-    raise ParseError("unknown group %r" % group)
+    stated = stated_final(group, n)
+    return stated if stated is not None else _b_free_presentation(group, n)
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +671,9 @@ L7_FAMILIES = _statement_table(
 
 L8_FAMILIES = _statement_table(
     "f-g-commute",
-    RelatorFamily("f1-g-commute", "f(m,1) g(m,k) f(m,1) g(m,k)", _range_k4),
+    RelatorFamily("f1-g-commute", "f(m,1) g(m,k) f(m,1) g(m,k)", _K4),
     "g-g-commute",
-    RelatorFamily("involution-overlap", "g(m,j) g(m,j)", _range_j3, note="coincides with the involution family"),
+    RelatorFamily("involution-overlap", "g(m,j) g(m,j)", _J3, note="coincides with the involution family"),
 )
 
 L8_1_FAMILIES = _statement_table(
@@ -737,18 +689,18 @@ L10_FAMILIES = _statement_table(
     RelatorFamily(
         "a-g-g",
         "a(m) g(m+1,i) g(m,i)",
-        _range_i3,
+        _I3,
         note=(
             "stated alongside the g-a-g spelling; the merged catalog keeps"
             " only the g-a-g form, and the twisted derivation matches this"
             " second spelling"
         ),
     ),
-    RelatorFamily("b0-g-conjugate", "b(m,0) g(m+1,j) b(m,1)^-1 g(m,j)", _range_j4),
+    RelatorFamily("b0-g-conjugate", "b(m,0) g(m+1,j) b(m,1)^-1 g(m,j)", _J4),
     "b-g-conjugate",
     "c-g-conjugate",
-    RelatorFamily("c-f0-conjugate", "c(j) f(m+1,0) c(j)^-1 f(m,1)", _range_j4),
-    RelatorFamily("c-f1-conjugate", "c(j) f(m+1,1) c(j)^-1 f(m,0)", _range_j4),
+    RelatorFamily("c-f0-conjugate", "c(j) f(m+1,0) c(j)^-1 f(m,1)", _J4),
+    RelatorFamily("c-f1-conjugate", "c(j) f(m+1,1) c(j)^-1 f(m,0)", _J4),
 )
 
 L12_FAMILIES = _statement_table(
@@ -778,7 +730,7 @@ L5_2_FAMILIES = _statement_table(
 CONJUGATION_RULES = (
     ("a(1)", "a(0) a(1)^-1 a(0)^-1", _always),
     ("f(2,1)", "a(0) a(1) f(2,0) a(1)^-1 a(0)^-1", _always),
-    ("g(2,i)", "a(0) a(1) g(2,i) a(1)^-1 a(0)^-1", _range_i3),
+    ("g(2,i)", "a(0) a(1) g(2,i) a(1)^-1 a(0)^-1", _I3),
 )
 
 LEMMA_IDS = ("L3_1", "L3", "L5", "L7", "L8", "L8_1", "L10", "L12", "CON", "L5_2")
@@ -858,14 +810,17 @@ def print_presentation(p: Presentation) -> str:
 
 
 def parse_presentation(text: str) -> Presentation:
+    """Read the text ``print_presentation`` writes.  A malformed line, a
+    generator block declared twice, a repeated seed index and a relator
+    label used twice each raise ParseError naming the line."""
     group = ""
     n = 0
     gens: list[GeneratorFamily] = []
     rels: list[FamilyInstance] = []
+    labels: set[str] = set()
     trims: list = []
     section = ""
     pending_label: Optional[str] = None
-    counter = 0
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -902,6 +857,8 @@ def parse_presentation(text: str) -> Presentation:
                     basis = tuple(int(v) for v in dom[1:-1].split(","))
                 except ValueError:
                     raise ParseError("bad generator line %r" % line) from None
+                if len(set(basis)) != len(basis):
+                    raise ParseError("repeated seed index in %r" % line)
             t = parse_template(name.strip())
             if len(t) != 1:
                 raise ParseError("bad generator line %r" % line)
@@ -911,14 +868,18 @@ def parse_presentation(text: str) -> Presentation:
             block = letter_block(fam, exprs)
             if block is None or exp != 1 or bool(windowed) != (fam in M_FAMILIES):
                 raise ParseError("bad generator line %r" % line)
+            if any((gen.family, gen.fixed) == block for gen in gens):
+                raise ParseError("generator block declared twice: %r" % line)
             gens.append(GeneratorFamily(*block, basis))
         elif section == "relators":
             if line.startswith("#"):
                 pending_label = line[1:].strip()
                 continue
-            label = pending_label or "relator-%d" % counter
+            label = pending_label or "relator-%d" % len(rels)
+            if label in labels:
+                raise ParseError("relator label %r used twice, at %r" % (label, line))
+            labels.add(label)
             pending_label = None
-            counter += 1
             rels.append(FamilyInstance(label, parse_template(line)))
         else:
             raise ParseError("unexpected line %r" % line)

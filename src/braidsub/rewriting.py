@@ -560,10 +560,10 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
         fam_label, table, needs = presets.LEMMA_TABLES[lemma]
         if needs == "wb" and group != "wb":
             raise ParseError("statement %s concerns the welded group" % lemma)
-        rows = {fam.label: fam for fam in presets.ambient_relator_families(group)}
-        ambient = presets.ambient_family(rows[fam_label], n)
+        row = {fam.label: fam for fam in presets.ambient_relator_families(group)}[fam_label]
         cases = []
-        for params, r in ambient.cases:
+        for params in row.domain(n):
+            r = row.template.instantiate(**params)
             ptxt = presets.params_text(params)
             for twisted in (False, True):
                 mapped = presets.lemma_case_map(lemma, params, twisted)
@@ -614,8 +614,9 @@ def assemble(group: str, n: int) -> presets.Presentation:
         raise presets.BadRank("catalog assembly needs rank >= 3, got %d" % n)
     square_bit = presets.SPELLINGS["f", (1,)]
     seen: dict[tuple, presets.FamilyInstance] = {}
-    for af in presets.ambient_families(group, n):
-        for params, r in af.cases:
+    for fam in presets.ambient_relator_families(group):
+        for params in fam.domain(n):
+            r = fam.template.instantiate(**params)
             for twisted in (False, True):
                 t = m_lift(derive_relation(r, 0, twisted)).substitute_family("f", (1,), square_bit)
                 if not t:
@@ -626,7 +627,7 @@ def assemble(group: str, n: int) -> presets.Presentation:
                 key = template_canon_key(t)
                 if key in seen:
                     continue
-                label = "%s[%s]%s" % (af.label, presets.params_text(params), "+twist" if twisted else "")
+                label = "%s[%s]%s" % (fam.label, presets.params_text(params), "+twist" if twisted else "")
                 seen[key] = presets.FamilyInstance(label, t)
     return presets.Presentation(group, n, presets.derived_generators(n), tuple(seen.values()))
 

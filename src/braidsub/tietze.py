@@ -17,13 +17,14 @@ Every operation here is a Tietze move on a parametric presentation:
   cyclic-canonical duplicate of another one that stays.
 
 ``SCRIPTS`` is the table of named scripts: each name maps to its group,
-its lowest rank, whether that is its only rank, a function giving the
-list of ``(op, *args)`` steps at rank n, and the stated final
-presentation to compare against (or None).  ``run_script`` checks the
-rank, starts from ``presets.derived_presentation``, applies the steps
-and keeps a transcript with one presentation snapshot per step, which
-the window-truncation check consumes.  The step lists are built when a
-script runs, so they call whatever the module names are bound to then.
+its lowest rank, whether that is its only rank, and a function giving
+the list of ``(op, *args)`` steps at rank n.  ``run_script`` checks the
+rank, starts from ``presets.derived_presentation``, applies the steps,
+keeps a transcript with one presentation snapshot per step, which the
+window-truncation check consumes, and diffs the result against
+``presets.stated_final`` where the paper states one.  The step lists
+are built when a script runs, so they call whatever the module names
+are bound to then.
 """
 
 from __future__ import annotations
@@ -554,20 +555,20 @@ def _welded_steps(n: int) -> list:
     ]
 
 
-# name -> (group, lowest rank, only that rank, steps(n), stated final or None)
+# name -> (group, lowest rank, only that rank, steps(n))
 SCRIPTS = {
-    "VB3_REDUCE": ("vb", 3, True, _vb3_steps, presets.vb3_final_presentation),
-    "VBN_REDUCE": ("vb", 4, False, _vbn_steps, None),
-    "WB3_REDUCE": ("wb", 3, True, _wb3_steps, presets.wb3_final_presentation),
-    "WB4_REDUCE": ("wb", 4, True, _welded_steps, presets.wb4_final_presentation),
-    "WBN_REDUCE": ("wb", 5, False, _welded_steps, None),
+    "VB3_REDUCE": ("vb", 3, True, _vb3_steps),
+    "VBN_REDUCE": ("vb", 4, False, _vbn_steps),
+    "WB3_REDUCE": ("wb", 3, True, _wb3_steps),
+    "WB4_REDUCE": ("wb", 4, True, _welded_steps),
+    "WBN_REDUCE": ("wb", 5, False, _welded_steps),
 }
 
 
 def run_script(name: str, n: Optional[int] = None) -> ScriptResult:
     if name not in SCRIPTS:
         raise ScriptPreconditionFailed("unknown script %r" % name)
-    group, low, only, steps, stated = SCRIPTS[name]
+    group, low, only, steps = SCRIPTS[name]
     n = low if n is None else n
     if only and n != low:
         raise BadRank("this script is specific to rank %d, got %d" % (low, n))
@@ -578,7 +579,8 @@ def run_script(name: str, n: Optional[int] = None) -> ScriptResult:
     for op, *args in steps(n):
         p, record = op(p, *args)
         transcript.append((record, p))
-    diff = diff_presentations(p, stated()) if stated else None
+    stated = presets.stated_final(group, n)
+    diff = None if stated is None else diff_presentations(p, stated)
     return ScriptResult(name, group, n, initial, transcript, p, generator_count(p), diff)
 
 

@@ -31,7 +31,6 @@ from braidsub.abelianize import (
     abelianization,
     check_perfect,
     check_script_truncation,
-    f_killed_quotient,
     invariants,
     relation_matrix,
     smith_normal_form,
@@ -54,13 +53,11 @@ from braidsub.presets import (
     instantiate,
     parse_presentation,
     reduced_presentation,
-    vb3_final_presentation,
-    wb3_final_presentation,
-    wb4_final_presentation,
+    stated_final,
 )
 from braidsub.rewriting import template_canon_key
 from braidsub.tietze import run_script
-from braidsub.words import Symbol, parse_template, parse_word
+from braidsub.words import Symbol, TemplateWord, parse_template, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +567,13 @@ def test_a_variable_trailing_index_raises_parametric_input():
     gens = (GeneratorFamily("g", (3,)),)
     free = Presentation("vb", 4, gens, (FamilyInstance("sq", parse_template("g(m,i+3) g(m,i+3)")),))
     for call in (abelianization, instantiate):
-        with pytest.raises(ParametricInput, match=r"g\(m,i\+3\)"):
+        with pytest.raises(ParametricInput, match=r"a trailing index slot of g\(m,i\+3\)"):
             call(free, (-2, 2))
+    # a c letter has one slot, its strand index
+    c_gens = (GeneratorFamily("c", (3,)),)
+    c_free = Presentation("vb", 4, c_gens, (FamilyInstance("sq", parse_template("c(m) c(m)")),))
+    with pytest.raises(ParametricInput, match=r"template variable in the strand index slot of c\(m\)$"):
+        instantiate(c_free, (-2, 2))
     bound = Presentation("vb", 4, gens, (FamilyInstance("sq", parse_template("g(m,3) g(m,3)")),))
     assert abelianization(bound, (-2, 2))["torsion"] == [2] * 5
 
@@ -611,9 +613,9 @@ def builder_cases():
         for n in range(3, 9):
             yield derived_presentation(group, n)
             yield reduced_presentation(group, n)
-    yield vb3_final_presentation()
-    yield wb3_final_presentation()  # trimmed a block
-    yield wb4_final_presentation()
+    yield stated_final("vb", 3)
+    yield stated_final("wb", 3)  # trimmed a block
+    yield stated_final("wb", 4)
     yield WIDENED_SQUARE
 
 
@@ -711,7 +713,7 @@ def test_template_builder_matches_instantiate():
             keyed = [label for labels in rewriting._instance_keys(p, window).values() for label in labels]
             assert sorted(keyed) == sorted(label for label, _ in fp.relators), case
     with pytest.raises(EmptyWindow):
-        abelianization(vb3_final_presentation(), (2, -2))
+        abelianization(stated_final("vb", 3), (2, -2))
     # every reader keeps the seven instances m = -3..3 of the widened square
     fp = instantiate(WIDENED_SQUARE, (-2, 2))
     assert [label for label, _ in fp.relators] == ["square@%d" % m for m in range(-3, 4)]
@@ -757,7 +759,7 @@ def test_template_builder_sums_colliding_letters():
 
 
 def test_abelianization_window_handling():
-    p = vb3_final_presentation()
+    p = stated_final("vb", 3)
     with pytest.raises(EmptyWindow):
         abelianization(p)
     out = abelianization(p, (-3, 3))
@@ -873,10 +875,11 @@ def test_welded_inverse_pairs_leave_the_invariants_alone():
 
 
 def test_f_killed_quotient():
-    out = f_killed_quotient(vb3_final_presentation())
-    assert out == {"verdict": "free", "survivors": [], "basis_family": "a"}
-    with pytest.raises(ShapeMismatch):
-        f_killed_quotient(reduced_presentation("vb", 4))
+    # erasing the f letters of the stated VB3 list leaves every relator
+    # freely trivial, so the quotient that kills f is free on a
+    p = stated_final("vb", 3)
+    assert {gen.family for gen in p.generators} == {"a", "f"}
+    assert not any(inst.template.substitute_family("f", (0,), TemplateWord(())) for inst in p.relators)
 
 
 @functools.lru_cache(maxsize=None)

@@ -449,8 +449,10 @@ STAGE_2_SNAPSHOTS = {
 }
 
 # sha256 of the stdout of the Tietze scripts: every fixed-rank script,
-# text transcripts of WB4 and WBN, and the loop scripts at ranks well past
-# their lowest (WBN at n=12 runs a large torsion cleanup)
+# text transcripts of VB3, WB3, WB4 and WBN (the fixed-rank ones print
+# their diff against the stated final list), the emitted WB3 final
+# presentation, and the loop scripts at ranks well past their lowest
+# (WBN at n=12 runs a large torsion cleanup)
 STAGE_3_SNAPSHOTS = {
     "tietze --script VB3_REDUCE --format json": "1b032283dec5b9a37618802b8c6e5ef945456eb4b252f94916fe821dca609938",
     "tietze --script WB3_REDUCE --format json": "b82cff29c20633eb737a9724b1c033011dc4ab5248485645a74e80c18d70a5df",
@@ -460,6 +462,9 @@ STAGE_3_SNAPSHOTS = {
     "tietze --script WBN_REDUCE --n 8 --format json": "bc73c9ac091933ab0412f8a29709bd4cb804f4a823946d759754712ef5ed3b77",
     "tietze --script WBN_REDUCE --n 8": "4165e7351ac61cf02a3645663918b6cb7dde0b932b76ae62d70fa0c9986d4170",
     "tietze --script WBN_REDUCE --n 12 --format json": "8075e05c49ff4fc30424866f5863f56d6c16c31e390efd5744e4885e7bc5c24e",
+    "tietze --script VB3_REDUCE": "e604cb567ef7beff3da35041542ac9acf136b3413f91ab52247ef69c8654c786",
+    "tietze --script WB3_REDUCE": "1320f78116062d30b5ebd7e999470efbdff3328d8f1d0e6ffe9f039ecdb945ae",
+    "tietze --script WB3_REDUCE --emit presentation": "ca4137bd16e5c3efb12fb85579c75428d63869ceeedeffa550dad432d775b78f",
 }
 
 

@@ -24,10 +24,8 @@ from braidsub.presets import (
     SPELLINGS,
     WELDED_FAMILIES,
     WELDED_SPELLINGS,
-    ambient_families,
     ambient_relator_families,
     ambient_presentation,
-    braid_reduced_presentation,
     check_rank,
     derived_presentation,
     expand_families,
@@ -39,10 +37,7 @@ from braidsub.presets import (
     print_finite,
     print_presentation,
     reduced_presentation,
-    vb3_final_presentation,
-    vb3_initial_presentation,
-    wb3_final_presentation,
-    wb4_final_presentation,
+    stated_final,
 )
 from braidsub.tietze import SCRIPTS, eliminate_family, run_script, solve_for
 from braidsub.words import print_template
@@ -110,9 +105,8 @@ def test_ambient_wb4_spelled_letter_by_letter():
 def test_ambient_relators_have_trivial_image():
     for group in ("vb", "wb"):
         for n in (2, 3, 4, 5, 6, 7):
-            for fam in ambient_families(group, n):
-                for _params, w in fam.cases:
-                    assert phi(w) == ORIGIN
+            for _label, w in ambient_presentation(group, n).relators:
+                assert phi(w) == ORIGIN
 
 
 def test_rank_and_group_validation():
@@ -121,13 +115,11 @@ def test_rank_and_group_validation():
     with pytest.raises(BadRank):
         ambient_presentation("vb", 0)
     with pytest.raises(ParseError):
-        ambient_families("xx", 4)
+        ambient_presentation("xx", 4)
     with pytest.raises(ParseError):
         main_families("xx")
     with pytest.raises(BadRank):
         derived_presentation("vb", 2)
-    with pytest.raises(BadRank):
-        braid_reduced_presentation(3)
     with pytest.raises(BadRank):
         reduced_presentation("vb", 2)
 
@@ -142,8 +134,7 @@ def test_catalog_sizes_frozen():
     assert len(derived_presentation("wb", 4).relators) == 16
     assert len(derived_presentation("wb", 5).relators) == 29
     assert len(derived_presentation("wb", 6).relators) == 47
-    assert vb3_initial_presentation() == derived_presentation("vb", 3)
-    labels = [inst.label for inst in vb3_initial_presentation().relators]
+    labels = [inst.label for inst in derived_presentation("vb", 3).relators]
     assert labels == [
         "b0-recurrence",
         "b1-recurrence",
@@ -183,7 +174,7 @@ def test_instantiate_window_semantics():
 
 
 def test_instantiate_respects_trims():
-    p = wb3_final_presentation()
+    p = stated_final("wb", 3)
     assert p.trim_for("a") == (0, -1)
     assert p.trim_for("f") == (0, 0)
     fp = instantiate(p, (0, 2))
@@ -217,7 +208,7 @@ def test_generator_count_summary():
 
 
 def test_b_free_catalog():
-    p = braid_reduced_presentation(4)
+    p = reduced_presentation("vb", 4)
     fams = {gen.family for gen in p.generators}
     assert fams == {"a", "c", "f", "g"}
     for inst in p.relators:
@@ -255,11 +246,15 @@ def test_b_free_catalog_is_the_eliminated_derived_catalog():
             assert reduced_presentation(group, n) == expected, (group, n)
 
 
+def test_stated_final_exactly_at_the_three_stated_ranks():
+    stated = {(group, n) for group in ("vb", "wb") for n in range(3, 9) if stated_final(group, n) is not None}
+    assert stated == {("vb", 3), ("wb", 3), ("wb", 4)}
+    assert stated_final("xx", 3) is None
+
+
 def test_reduced_dispatch():
-    assert reduced_presentation("vb", 3) == vb3_final_presentation()
-    assert reduced_presentation("vb", 5) == braid_reduced_presentation(5)
-    assert reduced_presentation("wb", 3) == wb3_final_presentation()
-    assert reduced_presentation("wb", 4) == wb4_final_presentation()
+    for group, n in (("vb", 3), ("wb", 3), ("wb", 4)):
+        assert reduced_presentation(group, n) == stated_final(group, n)
     wb5 = reduced_presentation("wb", 5)
     labels = {inst.label for inst in wb5.relators}
     assert "welded-a-f" in labels
@@ -270,17 +265,17 @@ def test_reduced_dispatch():
 
 
 def test_final_presentations_frozen():
-    vb3 = vb3_final_presentation()
+    vb3 = stated_final("vb", 3)
     assert [inst.label for inst in vb3.relators] == ["f-recurrence", "a-f-braid", "f-cube"]
     assert [gen.family for gen in vb3.generators] == ["a", "f"]
-    wb3 = wb3_final_presentation()
+    wb3 = stated_final("wb", 3)
     assert [inst.label for inst in wb3.relators] == [
         "f-recurrence",
         "a-f-braid",
         "f-cube",
         "a-f-step-braid",
     ]
-    wb4 = wb4_final_presentation()
+    wb4 = stated_final("wb", 4)
     assert [gen.name() for gen in wb4.generators] == ["c(3)", "f(m,0)"]
     assert len(wb4.relators) == 9
 
@@ -289,8 +284,8 @@ def test_presentation_text_round_trip():
     # every preset and every snapshot of every script: at their rank, and
     # at the lowest rank and the two above it for the loop scripts
     presentations = [
-        wb3_final_presentation(),
-        wb4_final_presentation(),
+        stated_final("wb", 3),
+        stated_final("wb", 4),
         Presentation(
             "vb",
             3,
@@ -301,7 +296,7 @@ def test_presentation_text_round_trip():
     for group in ("vb", "wb"):
         for n in range(3, 9):
             presentations += [derived_presentation(group, n), reduced_presentation(group, n)]
-    for name, (_, low, only, _, _) in SCRIPTS.items():
+    for name, (_, low, only, _) in SCRIPTS.items():
         for n in (low,) if only else (low, low + 1, low + 2):
             res = run_script(name, n)
             presentations += [res.initial] + [snap for _, snap in res.steps]
@@ -327,19 +322,32 @@ def test_presentation_text_round_trip():
     "a(3)",
     "c(3) for m in Z",
     "x() for m in Z",
+    "f(m,0) for m in {0,0}",
+    "c(3)",
 ])
 def test_parse_presentation_names_a_malformed_line(line):
+    # "c(3)" declares the block of the line after it a second time
     text = "group: vb\nn: 4\ngenerators:\n  %s\n  c(3)\nrelators:\n  c(3) c(3)\n" % line
     with pytest.raises(ParseError, match=re.escape(repr(line))):
+        parse_presentation(text)
+
+
+@pytest.mark.parametrize("relators", [
+    "  # sq\n  c(3) c(3)\n  # sq\n  c(3) c(3) c(3)\n",
+    "  c(3) c(3)\n  # relator-0\n  c(3) c(3) c(3)\n",
+], ids=["named", "automatic"])
+def test_parse_presentation_names_a_repeated_relator_label(relators):
+    text = "group: vb\nn: 4\ngenerators:\n  c(3)\nrelators:\n" + relators
+    with pytest.raises(ParseError, match=re.escape(repr("c(3) c(3) c(3)"))):
         parse_presentation(text)
 
 
 def test_lemma_tables_are_consistent():
     assert set(LEMMA_TABLES) == set(LEMMA_IDS) - {"L3_1", "CON"}
     for lemma, (fam_label, table, needs) in LEMMA_TABLES.items():
-        fams = {af.label: af for af in ambient_families(needs, 5)}
+        fams = {fam.label: fam for fam in ambient_relator_families(needs)}
         assert fam_label in fams
-        for params, _w in fams[fam_label].cases:
+        for params in fams[fam_label].domain(5):
             for twist in (False, True):
                 mapped = lemma_case_map(lemma, params, twist)
                 if mapped is None:
@@ -421,8 +429,8 @@ def test_case_rules_match_the_spelled_out_case_map():
     triples = 0
     for lemma, (fam_label, _table, needs) in LEMMA_TABLES.items():
         for n in range(3, 13):
-            fams = {af.label: af for af in ambient_families(needs, n)}
-            for params, _w in fams[fam_label].cases:
+            fams = {fam.label: fam for fam in ambient_relator_families(needs)}
+            for params in fams[fam_label].domain(n):
                 for twist in (False, True):
                     want = _lemma_case_map_oracle(lemma, params, twist)
                     assert lemma_case_map(lemma, params, twist) == want, (lemma, params, twist)
@@ -481,8 +489,9 @@ def test_family_template_is_parsed_once():
 
 
 def test_instantiate_with_aux_values_equals_bind_then_instantiate():
-    # the one-pass instantiate that ambient_family, ambient_presentation
-    # and the conjugation cases use, against binding first
+    # the one-pass instantiate that verify_lemma, assemble,
+    # ambient_presentation and the conjugation cases use, against binding
+    # first
     for group in ("vb", "wb"):
         for n in range(2, 13):
             for fam in ambient_relator_families(group):

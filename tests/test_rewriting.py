@@ -24,7 +24,9 @@ from braidsub.presets import (
     FamilyInstance,
     GeneratorFamily,
     Presentation,
-    ambient_families,
+    AMBIENT_VB_FAMILIES,
+    ambient_presentation,
+    ambient_relator_families,
     derived_presentation,
     lemma_case_map,
     reduced_presentation,
@@ -334,15 +336,12 @@ def test_derivation_routes_agree():
     # with coset-blind names pick up conjugation corrections that only
     # the letterwise route spells out.
     for group in ("vb", "wb"):
-        for fam in ambient_families(group, 5):
-            for _params, r in fam.cases:
-                small = all(sym.indices[0] <= 2 for sym, _ in r)
-                for m in range(-2, 3):
-                    assert derive_relation(r, m) == derive_relation_direct(r, m)
-                    if small:
-                        assert derive_relation(r, m, True) == derive_relation_direct(
-                            r, m, True
-                        )
+        for _label, r in ambient_presentation(group, 5).relators:
+            small = all(sym.indices[0] <= 2 for sym, _ in r)
+            for m in range(-2, 3):
+                assert derive_relation(r, m) == derive_relation_direct(r, m)
+                if small:
+                    assert derive_relation(r, m, True) == derive_relation_direct(r, m, True)
 
 
 def test_twisted_route_divergence_frozen():
@@ -381,7 +380,7 @@ def test_derivation_routes_agree_on_random_relators(letters):
 
 
 def test_derive_shifts_the_window_index():
-    r = ambient_families("vb", 3)[1].cases[0][1]  # the adjacent braid triple
+    r = AMBIENT_VB_FAMILIES[1].template.instantiate(i=1)  # the adjacent braid triple
     base = derive_relation(r, 0)
     assert derive_relation(r, 3) == base.shift(3)
     assert derive_relation(r, -2) == base.shift(-2)
@@ -540,7 +539,7 @@ def test_native_letter_order_keeps_the_rank_key_classes(bases, k, mask):
 def test_native_letter_order_keeps_the_rank_key_classes_of_the_scripts():
     # every relator of every presentation in the transcripts the output
     # snapshots hash
-    runs = [(name, None) for name, (_, _, only, _, _) in SCRIPTS.items() if only]
+    runs = [(name, None) for name, (_, _, only, _) in SCRIPTS.items() if only]
     runs += [("VBN_REDUCE", 10), ("WBN_REDUCE", 8), ("WBN_REDUCE", 12)]
     templates = []
     for name, n in runs:
@@ -797,9 +796,10 @@ def _verify_cases_per_m(lemma, group, n, m_range):
     rewrites its relator again, binds its stated template again, and
     prints both words through a template."""
     fam_label, table, _ = LEMMA_TABLES[lemma]
-    ambient = {af.label: af for af in ambient_families(group, n)}[fam_label]
+    row = {fam.label: fam for fam in ambient_relator_families(group)}[fam_label]
     cases = []
-    for params, r in ambient.cases:
+    for params in row.domain(n):
+        r = row.template.instantiate(**params)
         # the direct route, except where it is known to differ (see
         # test_derivation_routes_agree)
         small = all(sym.indices[0] <= 2 for sym, _ in r)

@@ -19,8 +19,7 @@ from braidsub.presets import (
     Presentation,
     derived_presentation,
     generator_count,
-    vb3_final_presentation,
-    wb3_final_presentation,
+    stated_final,
 )
 from braidsub.rewriting import template_canon_key
 from braidsub.tietze import (
@@ -133,7 +132,7 @@ def test_eliminate_family_matches_the_full_scan(monkeypatch):
     # substitute_family hands back a template without the family unchanged
     t = parse_template("a(m) f(m+1,0)^-1 c(3)")
     assert t.substitute_family("b", (1,), parse_template("f(m,0) a(m)")) is t
-    runs = [(name, n) for name, (_, low, only, _, _) in SCRIPTS.items() for n in ((low,) if only else (low, 8))]
+    runs = [(name, n) for name, (_, low, only, _) in SCRIPTS.items() for n in ((low,) if only else (low, 8))]
     fast = [run_script(name, n) for name, n in runs]
     monkeypatch.setattr(TemplateWord, "substitute_family", _substitute_family_full_scan)
     for (name, n), res in zip(runs, fast):
@@ -467,7 +466,7 @@ def test_script_vb3():
     res = run_script("VB3_REDUCE")
     assert res.name == "VB3_REDUCE"
     assert res.diff is not None and res.diff["agree"]
-    assert diff_presentations(res.final, vb3_final_presentation())["agree"]
+    assert diff_presentations(res.final, stated_final("vb", 3))["agree"]
     assert not res.summary.finite
     assert res.summary.unbounded == ("a(m)",)
     assert res.summary.names == ("f(0,0)", "f(1,0)", "f(2,0)")
@@ -487,7 +486,7 @@ def test_script_vbn_counts():
 def test_script_wb3():
     res = run_script("WB3_REDUCE")
     assert res.diff is not None and res.diff["agree"]
-    assert diff_presentations(res.final, wb3_final_presentation())["agree"]
+    assert diff_presentations(res.final, stated_final("wb", 3))["agree"]
     assert res.summary.finite
     assert res.summary.count == 4
     assert res.summary.names == ("a(0)", "f(0,0)", "f(1,0)", "f(2,0)")
@@ -574,7 +573,7 @@ def test_scripts_look_up_their_ops_when_they_run(monkeypatch):
 
     for op in STEP_OPS:
         monkeypatch.setattr(tietze, op, wrap(getattr(tietze, op)))
-    for name, (_, low, only, _, _) in SCRIPTS.items():
+    for name, (_, low, only, _) in SCRIPTS.items():
         for n in (low,) if only else (low, low + 1):
             seen.clear()
             res = run_script(name, n)
@@ -586,6 +585,12 @@ def test_scripts_are_deterministic():
     b = run_script("WB4_REDUCE")
     assert a.steps == b.steps
     assert a.final == b.final
+
+
+def test_a_script_diffs_exactly_where_a_final_list_is_stated():
+    runs = [(name, n) for name, (_, low, only, _) in SCRIPTS.items() for n in ((low,) if only else (low, low + 1))]
+    diffed = {name for name, n in runs if run_script(name, n).diff is not None}
+    assert diffed == {"VB3_REDUCE", "WB3_REDUCE", "WB4_REDUCE"}
 
 
 def test_run_script_validation():
