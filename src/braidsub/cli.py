@@ -523,15 +523,14 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="braidsub", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, window=False, m_range=False, fmt=True):
+    def common(p, window=False, m_range=False):
         p.add_argument("--group", choices=("vb", "wb"), default=None)
         p.add_argument("--n", type=int, default=4)
         if window:
             p.add_argument("--window", type=_range_pair, default=(-3, 3))
         if m_range:
             p.add_argument("--m-range", dest="m_range", type=_range_pair, default=(-2, 2))
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("present", help="print an ambient presentation")
     common(p)

@@ -10,8 +10,9 @@ This module holds the group-level data used everywhere else:
   per-source statement tables used by the verifier and the merged
   catalogs that the simplification scripts and the abelianizer start
   from;
-* the catalog spellings of the b, second-bit f and welded a letters in
-  the f and a families, which every substitution of them reads;
+* the b eliminations every script opens with (``B_STEPS``) and the
+  catalog spellings of the b, second-bit f (both solved from their
+  families) and welded a letters, which every substitution of them reads;
 * the reference presentations of the stability profiles: the three
   final presentations the paper states (``stated_final``: VB_3', WB_3'
   and WB_4') and the b-free catalog at every other rank
@@ -286,15 +287,30 @@ CATALOG_FAMILIES: dict[str, RelatorFamily] = {
 }
 
 
+# The b eliminations every script opens with, in script order: (family,
+# trailing indices, label of the defining family).
+B_STEPS = (("b", (1,), "f-a-step-b1"), ("b", (0,), "f-step-b0"))
+
+# The pairing relator of the symmetric involution (statement table L7).
+F_PAIR = RelatorFamily(
+    "f-pair",
+    "f(m,0) f(m,1)",
+    note=(
+        "the stated i=2 input carries a rank-3 subscript where the"
+        " derivation needs the rank-2 involution relator; rederived"
+        " from the rank-2 relator and matched"
+    ),
+)
+
 # How a b letter, a second-bit f letter and, in the welded group only, an
 # a letter are spelled in the f and a families: (family, trailing indices)
 # -> the spelling of the letter at plain window index m.  The b spellings
-# solve f-step-b0 and f-a-step-b1, the f spelling solves the pairing
-# relator f(m,0) f(m,1).
+# solve their B_STEPS families and the f spelling solves F_PAIR; the
+# welded a entry comes last, after the b entries that bring a letters in.
 SPELLINGS: dict[tuple[str, tuple[int, ...]], TemplateWord] = {
-    ("b", (0,)): parse_template("f(m,0)^-1 f(m+1,0)"),
-    ("b", (1,)): parse_template("f(m,0) a(m) f(m+1,0)^-1"),
-    ("f", (1,)): parse_template("f(m,0)^-1"),
+    **{(family, fixed): CATALOG_FAMILIES[via].template.solve(family, fixed)[0]
+       for family, fixed, via in B_STEPS},
+    ("f", (1,)): F_PAIR.template.solve("f", (1,))[0],
 }
 
 WELDED_SPELLINGS = SPELLINGS | {
@@ -490,23 +506,14 @@ def instantiate(p: Presentation, window: tuple[int, int]) -> FinitePresentation:
 # ---------------------------------------------------------------------------
 
 _GEN_A = GeneratorFamily("a")
-_GEN_B0 = GeneratorFamily("b", (0,))
-_GEN_B1 = GeneratorFamily("b", (1,))
 _GEN_F = GeneratorFamily("f", (0,))
-
-
-def _gen_c(n: int) -> list[GeneratorFamily]:
-    return [GeneratorFamily("c", (l,)) for l in range(3, n)]
-
-
-def _gen_g(n: int) -> list[GeneratorFamily]:
-    return [GeneratorFamily("g", (l,)) for l in range(3, n)]
 
 
 def derived_generators(n: int) -> tuple[GeneratorFamily, ...]:
     """The generator blocks of the derived subgroup at rank n: a, b(0),
     b(1), the c letters, f(0) and the g blocks (square bit gone)."""
-    return tuple([_GEN_A, _GEN_B0, _GEN_B1] + _gen_c(n) + [_GEN_F] + _gen_g(n))
+    c, g = ([GeneratorFamily(fam, (l,)) for l in range(3, n)] for fam in "cg")
+    return (_GEN_A, GeneratorFamily("b", (0,)), GeneratorFamily("b", (1,)), *c, _GEN_F, *g)
 
 
 def derived_presentation(group: str, n: int) -> Presentation:
@@ -601,19 +608,21 @@ def stated_final(group: str, n: int) -> Optional[Presentation]:
 
 
 def _b_free_presentation(group: str, n: int) -> Presentation:
-    """The merged catalog with the b letters spelled out over a, c, f, g:
-    the two b-defining families go, and the a block is trimmed one short
-    at the top of the window."""
-    gens = [_GEN_A] + _gen_c(n) + [_GEN_F] + _gen_g(n)
+    """The derived presentation with the b letters spelled out over a, c,
+    f, g: the B_STEPS families and the b blocks go, and the a block is
+    trimmed one short at the top of the window.  A substitution fast path
+    of the scripts' B_STEPS eliminations, which are its test oracle."""
+    p = derived_presentation(group, n)
+    vias = {via for _, _, via in B_STEPS}
     rels = []
-    for inst in expand_families(main_families(group), n):
-        if inst.label in ("f-step-b0", "f-a-step-b1"):
-            continue
-        t = inst.template
-        for fixed in ((0,), (1,)):
-            t = t.substitute_family("b", fixed, SPELLINGS["b", fixed])
-        rels.append(FamilyInstance(inst.label, t))
-    return Presentation(group, n, tuple(gens), tuple(rels), trims=(("a", (0, -1)),))
+    for inst in p.relators:
+        if inst.label not in vias:
+            t = inst.template
+            for family, fixed, _ in B_STEPS:
+                t = t.substitute_family(family, fixed, SPELLINGS[family, fixed])
+            rels.append(FamilyInstance(inst.label, t))
+    gens = tuple(gen for gen in p.generators if gen.family != "b")
+    return Presentation(group, n, gens, tuple(rels), trims=(("a", (0, -1)),))
 
 
 def reduced_presentation(group: str, n: int) -> Presentation:
@@ -656,18 +665,7 @@ L5_FAMILIES = _statement_table(
     "b0-recurrence", "b0-c3-braid", "c-braid", "b1-recurrence", "b1-c3-braid", "c-a-braid"
 )
 
-L7_FAMILIES = _statement_table(
-    RelatorFamily(
-        "f-pair",
-        "f(m,0) f(m,1)",
-        note=(
-            "the stated i=2 input carries a rank-3 subscript where the"
-            " derivation needs the rank-2 involution relator; rederived"
-            " from the rank-2 relator and matched"
-        ),
-    ),
-    "g-involution",
-)
+L7_FAMILIES = _statement_table(F_PAIR, "g-involution")
 
 L8_FAMILIES = _statement_table(
     "f-g-commute",
@@ -811,8 +809,9 @@ def print_presentation(p: Presentation) -> str:
 
 def parse_presentation(text: str) -> Presentation:
     """Read the text ``print_presentation`` writes.  A malformed line, a
-    generator block declared twice, a repeated seed index and a relator
-    label used twice each raise ParseError naming the line."""
+    generator block declared twice, a repeated seed index, a family
+    trimmed twice, a relator label used twice and a label with no relator
+    after it each raise ParseError naming the line."""
     group = ""
     n = 0
     gens: list[GeneratorFamily] = []
@@ -821,10 +820,8 @@ def parse_presentation(text: str) -> Presentation:
     trims: list = []
     section = ""
     pending_label: Optional[str] = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
+    lines = [raw.strip() for raw in text.splitlines() if raw.strip()]
+    for i, line in enumerate(lines):
         if line.startswith("group:"):
             group = line.split(":", 1)[1].strip()
             continue
@@ -834,10 +831,14 @@ def parse_presentation(text: str) -> Presentation:
                 continue
             if line.startswith("trim:"):
                 fam, dlo, dhi = line.split(":", 1)[1].split()
-                trims.append((fam, (int(dlo), int(dhi))))
-                continue
+                trim = (fam, (int(dlo), int(dhi)))
         except ValueError:
             raise ParseError("bad line %r" % line) from None
+        if line.startswith("trim:"):
+            if fam in dict(trims):
+                raise ParseError("family %r trimmed twice: %r" % (fam, line))
+            trims.append(trim)
+            continue
         if line == "generators:":
             section = "generators"
             continue
@@ -873,6 +874,8 @@ def parse_presentation(text: str) -> Presentation:
             gens.append(GeneratorFamily(*block, basis))
         elif section == "relators":
             if line.startswith("#"):
+                if i + 1 == len(lines) or lines[i + 1].startswith("#"):
+                    raise ParseError("relator label with no relator after it: %r" % line)
                 pending_label = line[1:].strip()
                 continue
             label = pending_label or "relator-%d" % len(rels)

@@ -3,7 +3,8 @@
 Every operation here is a Tietze move on a parametric presentation:
 
 * ``eliminate_family`` removes a generator family through a defining
-  relator family that mentions it exactly once;
+  relator family that mentions it exactly once, solved for it by
+  ``TemplateWord.solve``, as every solved word here and in ``presets`` is;
 * ``reduce_family_to_seeds`` records that a recurrence family expresses
   a generator family from finitely many seeds (two-sided, so it is a
   generating-set statement, not a relator change);
@@ -19,7 +20,9 @@ Every operation here is a Tietze move on a parametric presentation:
 ``SCRIPTS`` is the table of named scripts: each name maps to its group,
 its lowest rank, whether that is its only rank, and a function giving
 the list of ``(op, *args)`` steps at rank n.  ``run_script`` checks the
-rank, starts from ``presets.derived_presentation``, applies the steps,
+rank, starts from ``presets.derived_presentation``, applies the steps
+(each opens with the b eliminations of ``presets.B_STEPS``, which the
+b-free catalog spells out by substitution),
 keeps a transcript with one presentation snapshot per step, which the
 window-truncation check consumes, and diffs the result against
 ``presets.stated_final`` where the paper states one.  The step lists
@@ -37,7 +40,7 @@ from . import presets
 from .errors import BadRank, NotSolvable, ScriptPreconditionFailed
 from .presets import FamilyInstance, GeneratorSummary, Presentation, generator_count
 from .rewriting import template_canon_key, torsion_merge
-from .words import TemplateWord, letter_block, print_template
+from .words import TemplateWord, letter_block, print_template, window_offset
 
 # ---------------------------------------------------------------------------
 # Presentation surgery helpers
@@ -88,14 +91,6 @@ def _block(p: Presentation, family: str, fixed: tuple) -> int:
     raise ScriptPreconditionFailed("no generator family %s%s" % (family, fixed))
 
 
-def _offset(letter) -> int:
-    _, exprs, _ = letter
-    var, off = exprs[0]
-    if var != "m":
-        raise ScriptPreconditionFailed("letter index is not in the window variable")
-    return off
-
-
 def _g_square(strand: int, off: int) -> TemplateWord:
     return presets.CATALOG_FAMILIES["g-involution"].template.bind(i=strand).shift(off)
 
@@ -112,30 +107,6 @@ _F_CUBE = presets.CATALOG_FAMILIES["f-cube"].template
 # ---------------------------------------------------------------------------
 
 
-def _solve_at(t: TemplateWord, idx: int) -> TemplateWord:
-    """The word that the letter at ``idx`` equals, by the relator ``t``."""
-    exp = t.letters[idx][2]
-    left = TemplateWord(t.letters[:idx])
-    right = TemplateWord(t.letters[idx + 1 :])
-    return left.inverse() * right.inverse() if exp == 1 else right * left
-
-
-def _solved_form(t: TemplateWord, family: str, fixed: tuple) -> tuple[TemplateWord, int]:
-    """Solve a defining template for its unique target letter.
-
-    Returns the replacement template aligned to a plain ``m`` target and
-    the window offset at which the target sits in the defining template.
-    """
-    hits = t.target_letters(family, fixed)
-    if len(hits) != 1:
-        raise NotSolvable(
-            "%s%s occurs %d times in %s"
-            % (family, fixed, len(hits), print_template(t))
-        )
-    off = _offset(t.letters[hits[0]])
-    return _solve_at(t, hits[0]).shift(-off), off
-
-
 def solve_for(t: TemplateWord, family: str, fixed: tuple = ()) -> TemplateWord:
     """Solve a relator template for its unique occurrence of a letter.
 
@@ -143,16 +114,14 @@ def solve_for(t: TemplateWord, family: str, fixed: tuple = ()) -> TemplateWord:
     rotation, to target * w^-1, and w does not mention the target.
     Raises NotSolvable when the target occurs zero or several times.
     """
-    solved, off = _solved_form(t, family, fixed)
+    solved, off = t.solve(family, fixed)
     return solved.shift(off)
 
 
 def eliminate_family(p: Presentation, family: str, fixed: tuple, via: str):
     """Remove a generator family, rewriting it through a defining relator."""
     inst = _relator(p, via)
-    replacement, _ = _solved_form(inst.template, family, fixed)
-    if replacement.target_letters(family, fixed):
-        raise NotSolvable("solved form still mentions %s%s" % (family, fixed))
+    replacement, _ = inst.template.solve(family, fixed)
     rels = []
     for other in p.relators:
         if other.label != via:
@@ -175,7 +144,7 @@ def eliminate_family(p: Presentation, family: str, fixed: tuple, via: str):
 
 
 def _seed_span(t: TemplateWord, family: str, fixed: tuple) -> int:
-    offs = [_offset(t.letters[i]) for i in t.target_letters(family, fixed)]
+    offs = [window_offset(t.letters[i]) for i in t.target_letters(family, fixed)]
     if len(offs) < 2:
         raise NotSolvable("recurrence must mention the family at two offsets")
     lo, hi = min(offs), max(offs)
@@ -277,16 +246,15 @@ def _insert(t: TemplateWord, idx: int, piece: TemplateWord) -> TemplateWord:
     return TemplateWord(t.letters[:idx] + piece.letters + t.letters[idx:])
 
 
-def flip_g_letter(p: Presentation, label: str, occurrence: int = 0):
-    """Turn one inverse involution letter positive by inserting its square."""
+def flip_g_letter(p: Presentation, label: str):
+    """Turn the first inverse involution letter positive by inserting its square."""
     t = _relator(p, label).template
-    spots = [i for i, (fam, _, exp) in enumerate(t.letters) if fam == "g" and exp == -1]
-    if occurrence >= len(spots):
-        raise ScriptPreconditionFailed("%s has no inverse g letter #%d" % (label, occurrence))
-    idx = spots[occurrence]
+    idx = next((i for i, (fam, _, exp) in enumerate(t.letters) if fam == "g" and exp == -1), None)
+    if idx is None:
+        raise ScriptPreconditionFailed("%s has no inverse g letter" % label)
     _, exprs, _ = t.letters[idx]
     strand = exprs[1][1]
-    off = _offset(t.letters[idx])
+    off = window_offset(t.letters[idx])
     square = _g_square(strand, off)
     witness = _licence(_by_key(p), square)
     new = _insert(t, idx, square)
@@ -317,7 +285,7 @@ def braid_flip(p: Presentation, label: str):
     )
     if i is None:
         raise ScriptPreconditionFailed("%s has no g f g subword on strand 3" % label)
-    off = _offset(t.letters[i])
+    off = window_offset(t.letters[i])
     e = t.letters[i + 1][2]
     braid = _fg_braid(off)
     square = _g_square(3, off)
@@ -377,7 +345,7 @@ def rewrite_letter(
     must contain it exactly once as well.
     """
     def at_offset(w: TemplateWord) -> list[int]:
-        return [i for i in w.target_letters(family, fixed) if _offset(w.letters[i]) == offset]
+        return [i for i in w.target_letters(family, fixed) if window_offset(w.letters[i]) == offset]
 
     t = _relator(p, label).template
     vt = _relator(p, via).template.shift(via_shift)
@@ -387,7 +355,7 @@ def rewrite_letter(
             "%s shifted by %d mentions %s%s at offset %d %d times"
             % (via, via_shift, family, fixed, offset, len(hits))
         )
-    solved = _solve_at(vt, hits[0])
+    solved = vt.solve_at(hits[0])
     spots = at_offset(t)
     if len(spots) != 1:
         raise ScriptPreconditionFailed(
@@ -501,10 +469,7 @@ def diff_presentations(p: Presentation, target: Presentation) -> dict:
 
 def _b_steps() -> list:
     """Every script starts by eliminating b(m,1) and b(m,0)."""
-    return [
-        (eliminate_family, "b", (1,), "f-a-step-b1"),
-        (eliminate_family, "b", (0,), "f-step-b0"),
-    ]
+    return [(eliminate_family, *step) for step in presets.B_STEPS]
 
 
 def _vb3_steps(n: int) -> list:
@@ -545,7 +510,7 @@ def _welded_steps(n: int) -> list:
         (eliminate_family, "a", (), "g-a-g[i=3]"),
         (braid_flip, "welded-c3-braid-0"),
         (rewrite_letter, "welded-c3-braid-0", "g", (3,), 2, "f-g3-c3-braid-0", 1),
-        (flip_g_letter, "welded-c3-braid-0", 0),
+        (flip_g_letter, "welded-c3-braid-0"),
         (braid_flip, "welded-c3-braid-0"),
         (torsion_reduce_relator, "welded-c3-braid-0"),
         (eliminate_family, "g", (3,), "welded-c3-braid-0"),

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import CyclicSubstitution, ParametricInput, ParseError
+from .errors import CyclicSubstitution, NotSolvable, ParametricInput, ParseError, ScriptPreconditionFailed
 
 # Built-in families: name -> number of index slots.  The first slot of the
 # families listed in M_FAMILIES ranges over the integer window; the second
@@ -439,6 +439,24 @@ class TemplateWord:
                 out.append((fam, exprs, exp))
         return TemplateWord(out)
 
+    def solve_at(self, idx: int) -> "TemplateWord":
+        """The word that the letter at ``idx`` equals, by this relator."""
+        exp = self.letters[idx][2]
+        left = TemplateWord(self.letters[:idx])
+        right = TemplateWord(self.letters[idx + 1 :])
+        return left.inverse() * right.inverse() if exp == 1 else right * left
+
+    def solve(self, family: str, fixed: tuple) -> tuple["TemplateWord", int]:
+        """Solve this relator for its unique letter of the block (family,
+        fixed): the solved form aligned to a plain ``m`` target, and the
+        window offset at which the target sits here.  Raises NotSolvable
+        when the block occurs zero or several times."""
+        hits = self.target_letters(family, fixed)
+        if len(hits) != 1:
+            raise NotSolvable("%s%s occurs %d times in %s" % (family, fixed, len(hits), print_template(self)))
+        off = window_offset(self.letters[hits[0]])
+        return self.solve_at(hits[0]).shift(-off), off
+
     def target_letters(self, family: str, fixed: tuple) -> list[int]:
         """Positions of the letters of the block (family, fixed): the
         family's letters whose block slots hold the constants ``fixed``."""
@@ -449,6 +467,14 @@ class TemplateWord:
     def m_offsets(self) -> list[int]:
         """Offsets of the window variable in first slots."""
         return [exprs[0][1] for _, exprs, _ in self.letters if exprs and exprs[0][0] == "m"]
+
+
+def window_offset(letter: TLetter) -> int:
+    """The offset k of a letter whose first slot holds m+k."""
+    var, off = letter[1][0]
+    if var != "m":
+        raise ScriptPreconditionFailed("letter index is not in the window variable")
+    return off
 
 
 def lift(w: Word) -> TemplateWord:

@@ -237,6 +237,17 @@ def test_spellings_solve_their_defining_relators():
     assert WELDED_SPELLINGS.keys() - SPELLINGS.keys() == {("a", ())}
 
 
+def test_solved_spellings_frozen():
+    texts = {key: print_template(t) for key, t in SPELLINGS.items()}
+    assert texts == {
+        ("b", (0,)): "f(m,0)^-1 f(m+1,0)",
+        ("b", (1,)): "f(m,0) a(m) f(m+1,0)^-1",
+        ("f", (1,)): "f(m,0)^-1",
+    }
+    # one pass in table order substitutes the a letters the b spellings bring in
+    assert list(WELDED_SPELLINGS)[-1] == ("a", ())
+
+
 def test_b_free_catalog_is_the_eliminated_derived_catalog():
     for group, ranks in (("vb", range(4, 9)), ("wb", range(5, 9))):
         for n in ranks:
@@ -309,25 +320,35 @@ def test_presentation_text_round_trip():
         parse_presentation(print_presentation(presentations[2]) + "note: kept for the record\n")
 
 
-@pytest.mark.parametrize("line", [
-    "n: four",
-    "trim: a +0",
-    "trim: a +0 one",
-    "f(m,0) for m in {}",
-    "f(m,0) for m in {a}",
-    "f(m,j) for m in Z",
-    "g(m,i) for m in {0,1}",
-    "c(i)",
-    "c(3)^-1",
-    "a(3)",
-    "c(3) for m in Z",
-    "x() for m in Z",
-    "f(m,0) for m in {0,0}",
-    "c(3)",
+# a generator line in front of a c(3) block; "c(3)" declares that block
+# a second time
+_GENERATOR_LINE = "group: vb\nn: 4\ngenerators:\n  %s\n  c(3)\nrelators:\n  c(3) c(3)\n"
+_F_HEAD = "group: vb\nn: 4\ngenerators:\n  f(m,0) for m in Z\n"
+
+
+@pytest.mark.parametrize("line, text", [
+    *(pytest.param(line, _GENERATOR_LINE % line, id=line) for line in (
+        "n: four",
+        "trim: a +0",
+        "trim: a +0 one",
+        "f(m,0) for m in {}",
+        "f(m,0) for m in {a}",
+        "f(m,j) for m in Z",
+        "g(m,i) for m in {0,1}",
+        "c(i)",
+        "c(3)^-1",
+        "a(3)",
+        "c(3) for m in Z",
+        "x() for m in Z",
+        "f(m,0) for m in {0,0}",
+        "c(3)",
+    )),
+    # a label followed by another label, and a label at the end
+    pytest.param("# a", _F_HEAD + "relators:\n  # a\n  # b\n  f(m,0)\n", id="# a"),
+    pytest.param("# tail", _F_HEAD + "relators:\n  f(m,0)\n  # tail\n", id="# tail"),
+    pytest.param("trim: f +1 +0", _F_HEAD + "trim: f +0 -1\ntrim: f +1 +0\nrelators:\n", id="trim: f +1 +0"),
 ])
-def test_parse_presentation_names_a_malformed_line(line):
-    # "c(3)" declares the block of the line after it a second time
-    text = "group: vb\nn: 4\ngenerators:\n  %s\n  c(3)\nrelators:\n  c(3) c(3)\n" % line
+def test_parse_presentation_names_a_malformed_line(line, text):
     with pytest.raises(ParseError, match=re.escape(repr(line))):
         parse_presentation(text)
 

@@ -445,8 +445,8 @@ def test_flip_g_letter_precondition():
             FamilyInstance("r", parse_template("f(m,0) g(m,3)")),
         ),
     )
-    with pytest.raises(ScriptPreconditionFailed):
-        flip_g_letter(p, "r", 0)
+    with pytest.raises(ScriptPreconditionFailed, match="^r has no inverse g letter$"):
+        flip_g_letter(p, "r")
     p2 = Presentation(
         "vb",
         4,
@@ -456,7 +456,7 @@ def test_flip_g_letter_precondition():
             FamilyInstance("r", parse_template("f(m,0) g(m,3)^-1")),
         ),
     )
-    p3, rec = flip_g_letter(p2, "r", 0)
+    p3, rec = flip_g_letter(p2, "r")
     texts = {inst.label: print_template(inst.template) for inst in p3.relators}
     assert texts["r"] == "f(m,0) g(m,3)"
     assert "square" in rec["text"]
@@ -542,6 +542,21 @@ def test_wbn_rank_ladder_inserts_one_elimination():
         assert texts[-2] == "torsion cleanup: %d families dropped" % (n + 1 - 4)
         assert texts[-1] == prev[-1]
         prev = texts
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+def test_wbn_replacement_words_obey_the_loop_step(n):
+    # the replacement R_l of g(m,l) satisfies R_{l+1} = c(l)^-1 c(l+1)^-1
+    # R_l(m-2)^-1 c(l+1) c(l), of length 4l - 1, from the first strand on
+    res = run_script("WBN_REDUCE", n)
+    solved = {rec["fixed"][0]: rec["replacement"] for rec, _ in res.steps
+              if rec["op"] == "eliminate" and rec["family"] == "g"}
+    assert sorted(solved) == list(range(3, n))
+    assert len(solved[3]) == 4 * 2 - 1
+    for l in range(3, n - 1):
+        step = parse_template("c(%d)^-1 c(%d)^-1" % (l, l + 1))
+        assert solved[l + 1] == step * solved[l].shift(-2).inverse() * step.inverse(), l
+        assert len(solved[l + 1]) == 4 * l - 1
 
 
 STEP_OPS = (
