@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import operator
 import os
 import shutil
 import sys
@@ -62,29 +61,13 @@ def _json_key(key) -> str:
     return _encode_str(key) + ": "
 
 
-# (key tuple, newline) -> (format, sorted keys) of a dict with str keys
-# only: 1, 1.0 and True are equal keys that json spells apart
-_ROW_FORMS: dict = {}
-
-
-def _row_form(keys: tuple, newline: str) -> tuple | None:
-    """Cache and return the ``%`` format of an all-string dict with these
-    str keys at one depth, and its keys in the order the format takes
-    their values; None for keys that are not all str."""
-    if not all(type(key) is str for key in keys):
-        return None
-    order = sorted(keys)
-    inner = newline + "  "
-    fields = ("," + inner).join([_json_key(key).replace("%", "%%") + "%s" for key in order])
-    form = _ROW_FORMS[keys, newline] = ("{" + inner + fields + newline + "}", order)
-    return form
-
-
 def _json_parts(obj, newline: str, emit) -> None:
     """Pass the ``indent=2`` text of obj, nested after ``newline``, to emit
     part by part."""
     if isinstance(obj, str):
         emit(_encode_str(obj))
+    elif isinstance(obj, rewriting.Cases):
+        _case_rows(obj, newline, emit)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             emit("[]")
@@ -100,16 +83,6 @@ def _json_parts(obj, newline: str, emit) -> None:
         if not obj:
             emit("{}")
             return
-        keys = tuple(obj)
-        form = _ROW_FORMS.get((keys, newline)) or _row_form(keys, newline)
-        if form is not None:
-            try:  # a row of strings, such as a verify case, is one string
-                row = form[0] % tuple([_encode_str(obj[key]) for key in form[1]])
-            except TypeError:  # a value that is not a str
-                pass
-            else:
-                emit(row)
-                return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
@@ -122,12 +95,8 @@ def _json_parts(obj, newline: str, emit) -> None:
 
 
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, from the C encoders.
-
-    A dict of strings with str keys, such as a verify case row, is one
-    ``%`` format cached for its key tuple and depth; every part is
-    collected in one list and joined once.
-    """
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, from the C
+    encoders; every part is collected in one list and joined once."""
     parts: list = []
     _json_parts(obj, "\n", parts.append)
     parts.append("\n")
@@ -235,28 +204,63 @@ def _lemma_group(lemma: str, override) -> str:
     return presets.LEMMA_TABLES[lemma][2] if lemma in presets.LEMMA_TABLES else "vb"
 
 
-def _sorted_report(report: dict) -> dict:
-    report = dict(report)
-    report["cases"] = sorted(report["cases"], key=operator.itemgetter("params"))
-    return report
+_CASE_KEYS = ("engine_word", "paper_word", "params", "tier", "verdict")
 
 
-def _verify_text(report: dict) -> str:
-    """The text lines of one statement table's report."""
-    lines = ["%s (%s, n=%d): %d cases\n"
-             % (report["lemma"], report["group"], report["n"], len(report["cases"]))]
-    lines += ["  %s  tier=%s  %s\n" % (case["params"], case["tier"] or "-", case["verdict"])
-              for case in report["cases"]]
-    lines += ["  note: %s\n" % note for note in report["notes"]]
-    return "".join(lines)
+def _plan_rows(cases: rewriting.Cases, form):
+    """Yield ``(form(plan), m)`` for every row of a verify view, in the text
+    order of the params: the text before m, then m in ``str`` order, then
+    the text after m.  That is the order of the params texts themselves,
+    since no text before m is a proper prefix of another and every text
+    after m begins below the digits."""
+    ms = sorted(range(cases.m_range[0], cases.m_range[1] + 1), key=str)
+    groups: dict = {}
+    for plan in cases.plans:
+        groups.setdefault(plan.params.partition("%(")[0], []).append(plan)
+    for _, plans in sorted(groups.items()):
+        forms = [(form(plan), plan.lo, plan.hi) for plan in sorted(plans, key=lambda plan: plan.params)]
+        for m in ms if "%(" in plans[0].params else (0,):
+            for f, lo, hi in forms:
+                if lo <= m <= hi:
+                    yield f, m
+
+
+def _json_row(plan: rewriting.Plan, newline: str) -> tuple:
+    """A verify plan's JSON row, nested after ``newline``: a ``%`` form and
+    the fill it takes at m.  The form holds the plan's own patterns, or,
+    when a text of the plan needs escaping, takes every field through
+    ``_encode_str``."""
+    inner = newline + "  "
+    form = "{" + inner + ("," + inner).join(['"%s": %%(%s)s' % (key, key) for key in _CASE_KEYS]) + newline + "}"
+    tier, verdict = plan.tier.replace("%", "%%"), plan.verdict.replace("%", "%%")
+    texts = dict(zip(_CASE_KEYS, (plan.engine, plan.paper, plan.params, tier, verdict)))
+    if all(_encode_str(text) == '"%s"' % text for text in texts.values()):
+        return form % {key: '"%s"' % text for key, text in texts.items()}, plan.fill
+    return form, lambda m: {key: _encode_str(text) for key, text in plan.row(m).items()}
+
+
+def _case_rows(cases: rewriting.Cases, newline: str, emit) -> None:
+    inner = newline + "  "
+    sep = "[" + inner
+    for (form, fill), m in _plan_rows(cases, lambda plan: _json_row(plan, inner)):
+        emit(sep + form % fill(m))
+        sep = "," + inner
+    emit("[]" if sep[0] == "[" else newline + "]")
+
+
+def _text_line(plan: rewriting.Plan) -> tuple:
+    """A verify plan's text line: a ``%`` form and the fill it takes at m."""
+    tier, verdict = (plan.tier or "-").replace("%", "%%"), plan.verdict.replace("%", "%%")
+    return "  %s  tier=%s  %s\n" % (plan.params, tier, verdict), plan.fill
 
 
 def cmd_verify(args) -> int:
     """Check one statement table at a time and write its JSON before the
-    next, so only one table's cases are alive at once.  The JSON goes into
-    a temporary file beside the report, which replaces the report once
-    every table is checked; nothing is printed before then, so a run that
-    fails leaves no partial output and no partial report."""
+    next.  A table is checked once per row pattern, its plan, and each row
+    is written straight from its plan, so only plans stay alive.  The JSON
+    goes into a temporary file beside the report, which replaces the
+    report once every table is checked; nothing is printed before then,
+    so a run that fails leaves no partial output and no partial report."""
     lo, hi = args.m_range
     if lo > hi:
         sys.stderr.write("warning: empty m-range, nothing to check\n")
@@ -265,26 +269,26 @@ def cmd_verify(args) -> int:
         head, tail = '{\n  "lemmas": [\n    ', '\n  ],\n  "n": %d\n}\n' % args.n
     else:
         ids, newline, head, tail = (args.lemma,), "\n", "", "\n"
-    texts: list[str] = []
-    mismatches = 0
+    reports: list[dict] = []
     fh = None
     with contextlib.ExitStack() as stack:
         for lemma in ids:
-            group = _lemma_group(lemma, args.group)
-            report = _sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range))
+            report = rewriting.verify_lemma(lemma, _lemma_group(lemma, args.group), args.n, args.m_range)
             if fh is None:  # the report directory is made once a table is checked
                 fh = stack.enter_context(_report_file("verify-%s.json" % args.lemma, args.format == "json"))
                 fh.write(head)
             else:
                 fh.write("," + newline)
             _json_parts(report, newline, fh.write)
-            mismatches += sum(1 for case in report["cases"] if case["verdict"] == "MISMATCH")
-            if args.format != "json":
-                texts.append(_verify_text(report))
-            del report  # before the next table is checked
+            reports.append(report)
         fh.write(tail)
+    mismatches = sum(plan.size for rep in reports for plan in rep["cases"].plans if plan.verdict == "MISMATCH")
     if args.format != "json":
-        sys.stdout.writelines(texts)
+        for report in reports:
+            cases = report["cases"]
+            sys.stdout.write("%s (%s, n=%d): %d cases\n" % (report["lemma"], report["group"], report["n"], len(cases)))
+            sys.stdout.writelines(form % fill(m) for (form, fill), m in _plan_rows(cases, _text_line))
+            sys.stdout.writelines("  note: %s\n" % note for note in report["notes"])
         sys.stdout.write("mismatches: %d\n" % mismatches)
     return 1 if mismatches else 0
 

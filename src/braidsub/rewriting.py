@@ -19,8 +19,9 @@ template once with ``template_canon_key``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import presets
 from .cosets import (
@@ -397,38 +398,88 @@ def _check_shifts_with_m(label: str, t: TemplateWord) -> None:
             )
 
 
-def _word_pattern(w: Word) -> tuple[str, tuple]:
-    """``print_word``'s text of w with ``%d`` in place of each window index,
-    and those indices in letter order; ``_fill`` at m prints ``w.shift(m)``.
-    """
-    if not w.letters:
-        return "1", ()
-    toks, slots = [], []
+def _word_pattern(w: Word) -> str:
+    """``print_word``'s text of w with ``%(k)s`` in place of each window
+    index k; filled by ``_shifted(m)`` it prints ``w.shift(m)``."""
+    toks = []
     for sym, exp in w.letters:
+        body = str(sym)
         if sym.family in M_FAMILIES:
-            slots.append(sym.indices[0])
-            body = "%s(%%d%s)" % (sym.family, "".join(",%d" % i for i in sym.indices[1:]))
-        else:
-            body = str(sym)
+            body = "%s(%%(%d)s%s)" % (sym.family, sym.indices[0], "".join(",%d" % i for i in sym.indices[1:]))
         toks.append(body if exp == 1 else body + "^-1")
-    return " ".join(toks), tuple(slots)
+    return " ".join(toks) or "1"
 
 
-def _fill(pattern: tuple[str, tuple], m: int) -> str:
-    """The text of a ``_word_pattern`` shifted to window position m."""
-    text, slots = pattern
-    return text % tuple([i + m for i in slots])
+class _Shifted(dict):
+    """The text of m + k under the key ``str(k)``: what every window
+    pattern of a (relator, twist) plan takes at m.  ``_shifted`` hands
+    one instance per m to every caller, so it is read, never written."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __missing__(self, key: str) -> str:
+        text = self[key] = str(self.m + int(key))
+        return text
 
 
-def _case(params: str, engine_text: str, paper_text: str, tier: str, verdict: str) -> dict:
-    """One verifier row, from the printed words."""
-    return {
-        "params": params,
-        "engine_word": engine_text,
-        "paper_word": paper_text,
-        "tier": tier,
-        "verdict": verdict,
-    }
+_shifted = functools.lru_cache(maxsize=1024)(_Shifted)
+
+
+class Plan(NamedTuple):
+    """One pattern of verify rows: a (relator, twist) over the m-range, an
+    L3_1 family over one sign region of its s1 runs, or one fixed row.
+
+    ``engine``, ``paper`` and ``params`` are ``%`` patterns that take the
+    mapping ``fill(m)`` at every m in lo..hi; a windowed plan's params
+    take m as ``%(0)s``.  A fixed row has the one m 0 and no slots.
+    """
+
+    engine: str
+    paper: str
+    params: str
+    tier: str
+    verdict: str
+    lo: int = 0
+    hi: int = 0
+    fill: Callable = _shifted
+
+    @property
+    def size(self) -> int:
+        return max(0, self.hi - self.lo + 1)
+
+    def row(self, m: int) -> dict:
+        fill = self.fill(m)
+        return {
+            "params": self.params % fill,
+            "engine_word": self.engine % fill,
+            "paper_word": self.paper % fill,
+            "tier": self.tier,
+            "verdict": self.verdict,
+        }
+
+
+class Cases:
+    """The rows of one statement table: a sized, re-iterable view of its
+    plans.  Iterating it yields each row as a dict, plan by plan, or with
+    ``m_outer`` the windowed plans' rows at each m in turn and then the
+    fixed rows."""
+
+    def __init__(self, plans: list[Plan], m_range: tuple[int, int], m_outer: bool = False):
+        self.plans, self.m_range, self._m_outer = plans, m_range, m_outer
+
+    def __len__(self) -> int:
+        return sum(plan.size for plan in self.plans)
+
+    def __iter__(self):
+        plans, (lo, hi) = self.plans, self.m_range
+        pairs = ((p, m) for p in plans for m in range(p.lo, p.hi + 1))
+        if self._m_outer:
+            pairs = itertools.chain(
+                ((p, m) for m in range(lo, hi + 1) for p in plans if "%(" in p.params and p.lo <= m <= p.hi),
+                ((p, 0) for p in plans if "%(" not in p.params),
+            )
+        return (p.row(m) for p, m in pairs)
 
 
 def _closed_form_verdict(engine: Word, stated: Word) -> tuple[str, str]:
@@ -477,9 +528,21 @@ def _closed_form_family(family: str, fixed: tuple) -> tuple:
     return (p1 - p0, p0), (q1 - q0, q0), (core, stated0[1])
 
 
-def _closed_form_cases(n: int, m_range: tuple[int, int]) -> list[dict]:
-    """The L3_1 rows: the defining expansion of every a/b/f/g letter at
-    every m of the range against its closed form, then the c(l) letters.
+def _runs(p: tuple[int, int], q: tuple[int, int]) -> Callable:
+    """The fill of an L3_1 plan: m, and the s1 runs of p(m) and q(m)
+    letters around the cores; p and q are (slope, intercept)."""
+
+    def fill(m):
+        pm, qm = p[0] * m + p[1], q[0] * m + q[1]
+        left = ("s1 " if pm > 0 else "s1^-1 ") * abs(pm)
+        return {"0": str(m), "l": left, "r": (" s1" if qm > 0 else " s1^-1") * abs(qm)}
+
+    return fill
+
+
+def _closed_form_plans(n: int, m_range: tuple[int, int]) -> list[Plan]:
+    """The L3_1 plans: the defining expansion of every a/b/f/g letter over
+    the m-range against its closed form, then the c(l) letters.
 
     Both words of a family's letter at m are s1^p(m) core s1^q(m), with p
     and q affine in m and shared by the two words (``_closed_form_family``).
@@ -488,60 +551,61 @@ def _closed_form_cases(n: int, m_range: tuple[int, int]) -> list[dict]:
     their cores are, and equal after ``_rho1_involution_normal`` iff the
     normal forms of their cores are, since that normal form leaves s1
     letters in place and equal outer s1 powers cancel in the free group.
-    So each family is split once, its verdict is computed once per sign
-    region of (p, q), at the region's first m, whose split is checked
-    against the family's, and every row prints the s1 runs around the
-    core texts.
+    So each family is split once and has one plan per sign region of
+    (p, q), an interval of m, whose verdict is computed at its first m,
+    where the split is checked against the family's.
     """
     families = [("a", ())] + [(fam, (e,)) for e in (0, 1) for fam in ("b", "f")]
     families += [("g", (l,)) for l in range(3, n)]
     plans = []
     for family, fixed in families:
         p, q, cores = _closed_form_family(family, fixed)
-        plans.append((family, fixed, p, q, cores, [print_word(Word(core)) for core in cores], {}))
-    rows = []
-    for m in range(m_range[0], m_range[1] + 1):
-        for family, fixed, (pa, pb), (qa, qb), cores, texts, verdicts in plans:
+        engine, paper = ("%%(l)s%s%%(r)s" % print_word(Word(core)) for core in cores)
+        params = "%s(%%(0)s%s)" % (family, "".join(",%d" % i for i in fixed))
+        region = None
+        for m in range(m_range[0], m_range[1] + 1):
+            pm, qm = p[0] * m + p[1], q[0] * m + q[1]
+            key = ((pm > 0) - (pm < 0), (qm > 0) - (qm < 0))
+            if key == region:
+                continue
+            if region is not None:  # the family's last region ends here
+                plans[-1] = plans[-1]._replace(hi=m - 1)
+            region = key
             sym = Symbol(family, (m,) + fixed)
-            p, q = pa * m + pb, qa * m + qb
-            region = ((p > 0) - (p < 0), (q > 0) - (q < 0))
-            if region not in verdicts:
-                engine, stated = expansion(sym), closed_form(sym)
-                if (_s1_split(engine), _s1_split(stated)) != ((p, cores[0], q), (p, cores[1], q)):
-                    raise ShapeMismatch("%s does not split like its family at m=0, 1" % sym)
-                verdicts[region] = _closed_form_verdict(engine, stated)
-            left = ("s1 " if p > 0 else "s1^-1 ") * abs(p)
-            right = (" s1" if q > 0 else " s1^-1") * abs(q)
-            rows.append(_case(str(sym), left + texts[0] + right, left + texts[1] + right, *verdicts[region]))
+            engine_word, stated = expansion(sym), closed_form(sym)
+            if (_s1_split(engine_word), _s1_split(stated)) != ((pm, cores[0], qm), (pm, cores[1], qm)):
+                raise ShapeMismatch("%s does not split like its family at m=0, 1" % sym)
+            tier, verdict = _closed_form_verdict(engine_word, stated)
+            plans.append(Plan(engine, paper, params, tier, verdict, m, m_range[1], _runs(p, q)))
     for l in range(3, n):
         engine, stated = expansion(c(l)), closed_form(c(l))
-        tier, verdict = _closed_form_verdict(engine, stated)
-        text = print_word(engine)
-        rows.append(_case(str(c(l)), text, text if tier == "a" else print_word(stated), tier, verdict))
-    return rows
+        plans.append(_fixed_plan(str(c(l)), engine, stated, *_closed_form_verdict(engine, stated)))
+    return plans
 
 
-def _conjugation_cases(n: int) -> list[dict]:
-    rows = []
+def _fixed_plan(params: str, engine: Word, stated: Word, tier: str, verdict: str) -> Plan:
+    """The plan of one fixed row; a tier (a) row prints the engine word twice."""
+    text = print_word(engine)
+    return Plan(text, text if tier == "a" else print_word(stated), params, tier, verdict)
+
+
+def _conjugation_plans(n: int) -> list[Plan]:
+    plans = []
     for sym_text, stated_text, domain in presets.CONJUGATION_RULES:
         for bind in domain(n):
             sym = parse_template(sym_text).instantiate(**bind)[0][0]
-            stated = parse_template(stated_text).instantiate(**bind)
-            engine = rho1_rule(sym)
-            params = str(sym)
-            if bind:
-                params += "[%s]" % presets.params_text(bind)
-            tier, verdict = compare_words(engine, stated, "vb")
-            text = print_word(engine)
-            rows.append(_case(params, text, text if tier == "a" else print_word(stated), tier, verdict))
-    return rows
+            params = str(sym) + ("[%s]" % presets.params_text(bind) if bind else "")
+            engine, stated = rho1_rule(sym), parse_template(stated_text).instantiate(**bind)
+            plans.append(_fixed_plan(params, engine, stated, *compare_words(engine, stated, "vb")))
+    return plans
 
 
 def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2, 2)) -> dict:
     """Re-derive one statement table and compare case by case.
 
     Each (relator, twist) pair is rewritten, instantiated, compared and
-    printed once, at m=0; every window position m then fills the two
+    printed once, at m=0, as one ``Plan``; ``"cases"`` is the ``Cases``
+    view of the plans, whose row at window position m fills the plan's
     printed patterns.  This is exact because every window slot of every
     stated template is relative to m (``_check_shifts_with_m``), and a
     uniform shift of the window index preserves word equality, the letter
@@ -553,15 +617,15 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
         raise ParseError("unknown statement id %r" % lemma)
     notes: list[str] = []
     if lemma == "L3_1":
-        cases = _closed_form_cases(n, m_range)
+        cases = Cases(_closed_form_plans(n, m_range), m_range, m_outer=True)
     elif lemma == "CON":
-        cases = _conjugation_cases(n)
+        cases = Cases(_conjugation_plans(n), m_range)
     else:
         fam_label, table, needs = presets.LEMMA_TABLES[lemma]
         if needs == "wb" and group != "wb":
             raise ParseError("statement %s concerns the welded group" % lemma)
         row = {fam.label: fam for fam in presets.ambient_relator_families(group)}[fam_label]
-        cases = []
+        plans = []
         for params in row.domain(n):
             r = row.template.instantiate(**params)
             ptxt = presets.params_text(params)
@@ -579,13 +643,11 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
                         notes.append(note)
                 base = derive_relation(r, 0, twisted)
                 tier, verdict = compare_words(base, stated0, group)
-                engine_pattern = _word_pattern(base)
-                paper_pattern = engine_pattern if tier == "a" else _word_pattern(stated0)
-                for m in range(m_range[0], m_range[1] + 1):
-                    engine_text = _fill(engine_pattern, m)
-                    paper_text = engine_text if tier == "a" else _fill(paper_pattern, m)
-                    params_m = "%s,m=%d,twist=%d" % (ptxt, m, int(twisted))
-                    cases.append(_case(params_m, engine_text, paper_text, tier, verdict))
+                engine = _word_pattern(base)
+                paper = engine if tier == "a" else _word_pattern(stated0)
+                params_m = "%s,m=%%(0)s,twist=%d" % (ptxt, twisted)
+                plans.append(Plan(engine, paper, params_m, tier, verdict, *m_range))
+        cases = Cases(plans, m_range)
     return {
         "lemma": lemma,
         "group": group,

@@ -449,12 +449,17 @@ class TemplateWord:
     def solve(self, family: str, fixed: tuple) -> tuple["TemplateWord", int]:
         """Solve this relator for its unique letter of the block (family,
         fixed): the solved form aligned to a plain ``m`` target, and the
-        window offset at which the target sits here.  Raises NotSolvable
-        when the block occurs zero or several times."""
+        window offset at which the target sits here (0 for a letter with
+        no window slot, such as c(4)).  Raises NotSolvable when the block
+        occurs zero or several times, or when the target's window index is
+        a constant."""
         hits = self.target_letters(family, fixed)
         if len(hits) != 1:
             raise NotSolvable("%s%s occurs %d times in %s" % (family, fixed, len(hits), print_template(self)))
-        off = window_offset(self.letters[hits[0]])
+        letter = self.letters[hits[0]]
+        if family in M_FAMILIES and not letter[1][0][0]:
+            raise NotSolvable("%s has a constant window index" % print_letter(letter[:2] + (1,)))
+        off = window_offset(letter) if family in M_FAMILIES else 0
         return self.solve_at(hits[0]).shift(-off), off
 
     def target_letters(self, family: str, fixed: tuple) -> list[int]:

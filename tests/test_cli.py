@@ -4,9 +4,11 @@ Everything runs in process through main(argv); report files land in a
 temporary BRAIDSUB_OUTDIR.
 """
 
+import contextlib
 import errno
 import hashlib
 import json
+import operator
 import os
 import sys
 import tracemalloc
@@ -97,6 +99,12 @@ def test_verify_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def _sorted_report(report: dict) -> dict:
+    report = dict(report)
+    report["cases"] = sorted(report["cases"], key=operator.itemgetter("params"))
+    return report
+
+
 def whole_report_verify(args) -> int:
     """The oracle for ``cmd_verify``: every statement table is checked
     first, and the whole report is then written and printed at once."""
@@ -107,7 +115,7 @@ def whole_report_verify(args) -> int:
     reports = []
     for lemma in ids:
         group = cli._lemma_group(lemma, args.group)
-        reports.append(cli._sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
+        reports.append(_sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
     obj = reports[0] if args.lemma != "ALL" else {"n": args.n, "lemmas": reports}
     text = cli._dump_json(obj)
     with open(os.path.join(cli._outdir(), "verify-%s.json" % args.lemma), "w", encoding="utf-8") as fh:
@@ -144,7 +152,7 @@ def run_in(capsys, monkeypatch, path, *argv):
 
 
 @pytest.mark.parametrize("lemma", [
-    ("ALL", "--n", "3"), ("ALL", "--n", "4"), ("ALL", "--n", "5"), ("ALL", "--n", "6"),
+    ("ALL", "--n", "3"), ("ALL", "--n", "4"), ("ALL", "--n", "5"), ("ALL", "--n", "6"), ("ALL", "--n", "11"),
     ("L3_1",), ("L7",), ("CON",), ("L5_2", "--group", "wb"),
 ], ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_streamed_verify_matches_the_whole_report(capsys, monkeypatch, outdir, lemma):
@@ -191,6 +199,65 @@ def test_verify_peak_memory_follows_the_largest_table(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", whole_report_verify)
     whole = peak()
     assert streamed <= 0.4 * whole, (streamed, whole)
+
+
+def test_the_plan_walk_follows_the_text_order_of_the_params():
+    # strand indices 9..12 and m in -12..12 reach every case where the text
+    # order differs from the numeric one: "i=1" < "i=10" < "i=9",
+    # "m=-1" < "m=-10" < "m=-2" < "m=0" < "m=1" < "m=10" < "m=2"
+    plans = [rewriting.Plan("a(%(0)s)", "a(%(1)s)", "i=%d,m=%%(0)s,twist=%d" % (i, t), "a", "exact", -12, 12)
+             for i in (12, 9, 1, 10, 11) for t in (1, 0)]
+    plans += [rewriting.Plan("c(%d)" % i, "c(%d)" % i, "c(%d)" % i, "a", "exact") for i in (12, 9, 10)]
+    plans += [rewriting.Plan("%%(l)ss%d%%(r)s" % i, "%%(l)ss%d%%(r)s" % i, "g(%%(0)s,%d)" % i, "b",
+                             "equal-after-normalization", lo, hi, rewriting._runs((1, 0), (-1, 0)))
+              for i in (12, 9, 11, 10) for lo, hi in ((-12, -1), (0, 0), (1, 12))]
+    cases = rewriting.Cases(plans, (-12, 12))
+    walked = [row(m) for row, m in cli._plan_rows(cases, operator.attrgetter("row"))]
+    params = [case["params"] for case in walked]
+    assert len(walked) == len(cases) == 10 * 25 + 3 + 4 * 25
+    assert params == sorted(case["params"] for case in cases)
+    assert sorted(walked, key=operator.itemgetter("params")) == _sorted_report({"cases": cases})["cases"]
+    assert params[:4] == ["c(10)", "c(12)", "c(9)", "g(-1,10)"]
+    assert params[4:7] == ["g(-1,11)", "g(-1,12)", "g(-1,9)"]
+    assert params[103:109] == ["i=1,m=-1,twist=0", "i=1,m=-1,twist=1", "i=1,m=-10,twist=0",
+                               "i=1,m=-10,twist=1", "i=1,m=-11,twist=0", "i=1,m=-11,twist=1"]
+
+
+def test_verify_rows_escape_the_plans_that_need_it():
+    # a plan whose texts JSON must escape takes every field through the
+    # encoder; the others keep their one form, also with a % in a verdict
+    plans = [
+        rewriting.Plan('a(%(0)s) "q"', "a(%(1)s)", "\u00e9=1,m=%(0)s", "a", "exact", -2, 2),
+        rewriting.Plan("a(%(0)s)", "a(%(2)s)^-1", "i=1,m=%(0)s", "c", "100% sure", -2, 2),
+        rewriting.Plan("s1\tr1", "s1", "c(3)", "", "MISMATCH"),
+    ]
+    cases = rewriting.Cases(plans, (-2, 2))
+    parts = []
+    cli._json_parts({"cases": cases}, "\n", parts.append)
+    rows = sorted(cases, key=operator.itemgetter("params"))
+    assert "".join(parts) == json.dumps({"cases": rows}, indent=2, sort_keys=True)
+    assert rows[0]["verdict"] == "MISMATCH" and rows[1]["verdict"] == "100% sure"
+    lines = [form % fill(m) for (form, fill), m in cli._plan_rows(cases, cli._text_line)]
+    assert lines == ["  %s  tier=%s  %s\n" % (row["params"], row["tier"] or "-", row["verdict"]) for row in rows]
+
+
+def test_verify_peak_memory_does_not_follow_the_m_range(capsys):
+    # rows are written straight from their plans, so a window ten times
+    # wider leaves the peak nearly where it was; the printed text, which
+    # grows with the window, goes to a file, not into memory
+    def peak(m_range):
+        argv = ["verify", "--lemma", "ALL", "--n", "5", "--m-range", m_range]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv)  # warm every cache
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    narrow, wide = peak("-4..4"), peak("-40..40")
+    assert wide <= 1.2 * narrow, (narrow, wide)
 
 
 def test_negative_range_values_parse(capsys):
@@ -423,8 +490,8 @@ def test_dump_json_matches_indented_json_dumps(obj):
 def test_dump_json_keys_and_errors_follow_json_dumps():
     for obj in ({1: 2, -3: [4]}, {2.5: {}, -1.0: "x"}, {None: 0}, {True: 1, False: [1]}, {"": {"": ""}}):
         assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    # all-string rows share one cached form per key tuple and depth; the
-    # equal keys 1, True and 1.0 are spelled apart
+    # rows of strings at every depth; the equal keys 1, True and 1.0 are
+    # spelled apart
     rows = [{"b": "", "a": "1"}, {"a": "\u00e9", "b": "\n"}, {"b": "x", "a": "y"}]
     for obj in (rows, {"rows": rows, "deeper": [rows]}, [{1: "a"}, {True: "a"}, {1.0: "a"}]):
         assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"

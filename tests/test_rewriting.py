@@ -858,10 +858,96 @@ def test_verify_lemma_matches_per_m_derivation():
     runs += [("L5_2", "wb", 5)] + [(lemma, "wb", 4) for lemma in LEMMA_TABLES]
     tiers = set()
     for lemma, group, n in runs:
-        got = verify_lemma(lemma, group, n, (-3, 3))["cases"]
+        got = list(verify_lemma(lemma, group, n, (-3, 3))["cases"])
         assert got == _verify_cases_per_m(lemma, group, n, (-3, 3)), (lemma, group, n)
         tiers |= {case["tier"] for case in got}
     assert tiers == {"a", "b", "c"}
+
+
+def _case(params, engine_text, paper_text, tier, verdict):
+    return {"params": params, "engine_word": engine_text, "paper_word": paper_text, "tier": tier, "verdict": verdict}
+
+
+def _verify_cases_by_case(lemma, group, n, m_range):
+    """The oracle for the plans of ``verify_lemma``: its rows built one dict
+    per case, each (relator, twist) and each L3_1 family region compared
+    once and printed again at every m, and each conjugation rule compared
+    per binding."""
+    rows = []
+    if lemma == "L3_1":
+        families = [("a", ())] + [(fam, (e,)) for e in (0, 1) for fam in ("b", "f")]
+        families += [("g", (l,)) for l in range(3, n)]
+        plans = []
+        for family, fixed in families:
+            p, q, cores = rewriting._closed_form_family(family, fixed)
+            plans.append((family, fixed, p, q, cores, [print_word(Word(core)) for core in cores], {}))
+        for m in range(m_range[0], m_range[1] + 1):
+            for family, fixed, (pa, pb), (qa, qb), cores, texts, verdicts in plans:
+                sym = Symbol(family, (m,) + fixed)
+                p, q = pa * m + pb, qa * m + qb
+                region = ((p > 0) - (p < 0), (q > 0) - (q < 0))
+                if region not in verdicts:
+                    engine, stated = expansion(sym), closed_form(sym)
+                    assert (rewriting._s1_split(engine), rewriting._s1_split(stated)) == (
+                        (p, cores[0], q), (p, cores[1], q))
+                    verdicts[region] = rewriting._closed_form_verdict(engine, stated)
+                left = ("s1 " if p > 0 else "s1^-1 ") * abs(p)
+                right = (" s1" if q > 0 else " s1^-1") * abs(q)
+                rows.append(_case(str(sym), left + texts[0] + right, left + texts[1] + right, *verdicts[region]))
+        for l in range(3, n):
+            engine, stated = expansion(c(l)), closed_form(c(l))
+            tier, verdict = rewriting._closed_form_verdict(engine, stated)
+            text = print_word(engine)
+            rows.append(_case(str(c(l)), text, text if tier == "a" else print_word(stated), tier, verdict))
+        return rows
+    if lemma == "CON":
+        for sym_text, stated_text, domain in presets.CONJUGATION_RULES:
+            for bind in domain(n):
+                sym = parse_template(sym_text).instantiate(**bind)[0][0]
+                stated = parse_template(stated_text).instantiate(**bind)
+                engine = rho1_rule(sym)
+                params = str(sym)
+                if bind:
+                    params += "[%s]" % presets.params_text(bind)
+                tier, verdict = compare_words(engine, stated, "vb")
+                text = print_word(engine)
+                rows.append(_case(params, text, text if tier == "a" else print_word(stated), tier, verdict))
+        return rows
+    fam_label, table, _ = LEMMA_TABLES[lemma]
+    row = {fam.label: fam for fam in ambient_relator_families(group)}[fam_label]
+    for params in row.domain(n):
+        r = row.template.instantiate(**params)
+        ptxt = presets.params_text(params)
+        for twisted in (False, True):
+            mapped = lemma_case_map(lemma, params, twisted)
+            stated0 = Word()
+            if mapped is not None:
+                idx, aux = mapped
+                stated0 = table[idx].template.bind(**aux).instantiate(m=0)
+            base = derive_relation(r, 0, twisted)
+            tier, verdict = compare_words(base, stated0, group)
+            for m in range(m_range[0], m_range[1] + 1):
+                engine_text = print_word(base.shift(m))
+                paper_text = engine_text if tier == "a" else print_word(stated0.shift(m))
+                rows.append(_case("%s,m=%d,twist=%d" % (ptxt, m, int(twisted)), engine_text, paper_text, tier, verdict))
+    return rows
+
+
+def test_verify_plans_yield_the_case_by_case_rows():
+    # iterating the view gives the rows in the order they were always
+    # derived, and len() counts them without building them
+    seen = set()
+    for n in range(3, 7):
+        for lemma in presets.LEMMA_IDS:
+            for group in ("vb", "wb") if LEMMA_TABLES.get(lemma, (0, 0, "vb"))[2] == "vb" else ("wb",):
+                for m_range in ((-3, 3), (-12, 12)):
+                    cases = verify_lemma(lemma, group, n, m_range)["cases"]
+                    oracle = _verify_cases_by_case(lemma, group, n, m_range)
+                    rows = list(cases)
+                    assert rows == oracle, (lemma, group, n, m_range)
+                    assert list(cases) == rows and len(cases) == len(rows), (lemma, group, n, m_range)
+                    seen |= {case["tier"] for case in oracle}
+    assert seen == {"a", "b", "c"}
 
 
 def _closed_form_cases_per_m(n, m_range):
@@ -899,7 +985,7 @@ def _closed_form_cases_per_m(n, m_range):
 
 def test_closed_forms_match_per_m_expansion():
     for n in range(3, 9):
-        got = verify_lemma("L3_1", "vb", n, (-40, 40))["cases"]
+        got = list(verify_lemma("L3_1", "vb", n, (-40, 40))["cases"])
         assert got == _closed_form_cases_per_m(n, (-40, 40)), n
     assert {case["tier"] for case in got} == {"a", "b"}
 
@@ -911,10 +997,10 @@ def test_closed_forms_at_the_edges_of_the_m_range():
     runs += [(n, r) for n in (3, 5) for r in ((100, 120), (-120, -100))]
     runs += [(n, r) for n in (3, 8) for r in ((-3, 3), (-1, 0), (-2, -1), (0, 1))]
     for n, m_range in runs:
-        got = rewriting._closed_form_cases(n, m_range)
+        got = list(verify_lemma("L3_1", "vb", n, m_range)["cases"])
         assert got == _closed_form_cases_per_m(n, m_range), (n, m_range)
-    assert [case["params"] for case in rewriting._closed_form_cases(5, (1, 0))] == ["c(3)", "c(4)"]
-    assert rewriting._closed_form_cases(3, (1, 0)) == []
+    assert [case["params"] for case in verify_lemma("L3_1", "vb", 5, (1, 0))["cases"]] == ["c(3)", "c(4)"]
+    assert list(verify_lemma("L3_1", "vb", 3, (1, 0))["cases"]) == []
 
 
 def test_closed_forms_raise_on_a_word_that_does_not_split(monkeypatch):
@@ -1109,7 +1195,7 @@ def test_print_word_matches_template_printer(amb, sub, k):
 def test_word_pattern_prints_every_shift(amb, sub, m):
     # verify prints each word once as a pattern and fills it per window position
     for w in (Word(amb), Word(sub), Word()):
-        assert rewriting._fill(rewriting._word_pattern(w), m) == print_word(w.shift(m))
+        assert rewriting._word_pattern(w) % rewriting._shifted(m) == print_word(w.shift(m))
 
 
 @given(subgroup_letters, st.integers(min_value=-50, max_value=50))

@@ -77,6 +77,20 @@ def test_solve_for_rejects_multiple_occurrences():
         solve_for(parse_template("f(m,0) a(m)"), "b", (0,))
 
 
+def test_solve_for_a_letter_without_a_window_slot_or_with_a_constant_window_index():
+    # a c letter has no window slot: it solves at offset 0
+    t = parse_template("c(3) f(m,0) c(3)^-1 f(m,0)^-1 c(4)")
+    solved, off = t.solve("c", (4,))
+    assert (print_template(solved), off) == ("f(m,0) c(3) f(m,0)^-1 c(3)^-1", 0)
+    assert solve_for(t, "c", (4,)) == solved
+    target = parse_template("c(4)")
+    assert template_canon_key(target * solved.inverse()) == template_canon_key(t)
+    # a windowed letter pinned to a constant index has no window offset
+    for text in ("f(2,0) a(m)", "a(m) f(2,0)^-1"):
+        with pytest.raises(NotSolvable, match=r"^f\(2,0\) has a constant window index$"):
+            solve_for(parse_template(text), "f", (0,))
+
+
 def test_eliminate_family_basics():
     p = derived_presentation("vb", 3)
     p1, rec = eliminate_family(p, "b", (1,), "f-a-step-b1")
