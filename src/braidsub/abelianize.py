@@ -10,23 +10,24 @@ too), `presets.columns` numbers the columns of the block domains with
 ints, and `_rows` sums each template's exponents per column once, then
 writes one sparse row per instance over those int columns.  The sparse
 core `_invariants` reads the invariants of such rows by unit-pivot
-elimination on copies of them: zero rows and rows equal to another row
-or its negation are dropped, and each +-1 pivot removes one row and one
-column as one unit invariant factor (Havas, Holt and Rees 1993; Havas,
-Majewski and Matthews 1998).  Pivots come off a min-heap that holds one
-entry per live row, priced by the Markowitz fill-in bound of the row's
-cheapest +-1 entry; a popped entry is priced again and pushed back when
-its cost has grown, and a row a pivot changes is priced only when it has
-no entry, so no pivot search rescans the matrix.  Only the rows of the
-small remainder that differ up to sign go through `snf`, the Smith
-normal form that also returns the unimodular certificates U and V; it
-keeps U's rows and V's columns sparse until it returns them.  The
-window profiles and the step-by-step truncation comparison for
-simplification scripts both use this builder; after every script step
-the truncated abelianization must present the same group, once the kept
-instances are matched between the two sides.  `presets.instantiate`
-followed by the dense `relation_matrix` spells out the same rows letter
-by letter and is the builder's oracle.
+elimination in one pass over them, each +-1 pivot removing one row and
+one column as one unit invariant factor (Havas, Holt and Rees 1993;
+Havas, Majewski and Matthews 1998).  Each row is first rewritten through
+the substitutions of the columns eliminated so far, so a row that
+repeats, negates or combines earlier pivot rows reduces to zero and is
+dropped.  A row left with a +-1 entry becomes a pivot on the column
+that the fewest live substitutions and remainder rows use, and is
+substituted into those through a column-to-users index; any other row
+waits in the remainder until a later pivot gives it a +-1 entry.  Only
+the rows of the small remainder that differ up to sign go through
+`snf`, the Smith normal form that also returns the unimodular
+certificates U and V; it keeps U's rows and V's columns sparse until it
+returns them.  The window profiles and the step-by-step truncation
+comparison for simplification scripts both use this builder; after
+every script step the truncated abelianization must present the same
+group, once the kept instances are matched between the two sides.
+`presets.instantiate` followed by the dense `relation_matrix` spells out
+the same rows letter by letter and is the builder's oracle.
 """
 
 from __future__ import annotations
@@ -182,113 +183,85 @@ def _invariants(vectors: Iterable[dict], cols: int) -> dict:
     """Torsion coefficients and free rank of the cokernel of sparse rows.
 
     Each row maps int column ids to nonzero entries and is read, never
-    changed; `cols` counts every column, touched or not.  Unit pivots are
-    eliminated on copies of the rows first; `snf` then diagonalises only
-    the remaining rows that differ up to sign.
+    changed; `cols` counts every column, touched or not.  Rows are taken
+    in the order given, each first rewritten through `sub`, which spells
+    every eliminated column over the live ones.  A row that reduces to
+    zero is dropped; one with a +-1 entry becomes a pivot; any other joins
+    the remainder, whose rows that gain a +-1 entry are pivoted after the
+    last row.  `snf` diagonalises the remainder rows that differ up to
+    sign.
     """
-    # heapq loads a C extension; imported here, it stays out of the CLI
-    # runs that never abelianize (0.15 MB of peak RSS per process with
-    # CPython 3.11 on Linux x86-64)
-    import heapq
+    sub: dict = {}  # eliminated column -> {live column: coefficient}
+    rest: dict = {}  # id -> remainder row over live columns
+    # live column -> {id: expression or remainder row that mentions it};
+    # an id is only ever a key while its dict is held by `sub` or `rest`
+    users: dict = {}
 
-    rows: dict[int, dict] = {}
-    colrows: dict[int, set] = {}
-    seen = set()
+    def pivot(row):
+        # the +-1 entry whose column the fewest expressions and rows use
+        c = min((j for j, x in row.items() if x == 1 or x == -1),
+                key=lambda j: len(users.get(j, ())))
+        u = row.pop(c)  # its own inverse
+        expr = {j: -u * x for j, x in row.items()}
+        for key, other in users.pop(c, {}).items():
+            y = other.pop(c)
+            for j, x in expr.items():
+                v = other.get(j, 0) + y * x
+                if not v:
+                    del other[j]
+                    del users[j][key]
+                else:
+                    if j not in other:
+                        users.setdefault(j, {})[key] = other
+                    other[j] = v
+        sub[c] = expr
+        key = id(expr)
+        for j in expr:
+            users.setdefault(j, {})[key] = expr
+
+    def has_unit(row):
+        values = row.values()
+        return 1 in values or -1 in values
+
     for vec in vectors:
-        if not vec:
-            continue
-        # a row and its negation state the same relation: the key takes
-        # the sign that makes the entry in the lowest column positive
-        key = frozenset(vec.items() if vec[min(vec)] > 0 else ((c, -x) for c, x in vec.items()))
-        if key not in seen:
-            seen.add(key)
-            r = len(rows)
-            rows[r] = dict(vec)  # eliminated in place; the caller's row stays
-            for c in vec:
-                if c in colrows:
-                    colrows[c].add(r)
-                else:
-                    colrows[c] = {r}
-    del seen  # free the dedupe keys before the heap is built
-
-    # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in
-    # of a pivot.  The heap holds one entry per live row, priced by its
-    # cheapest +-1 entry; a price goes stale when the row or one of its
-    # columns changes, so each popped entry is priced again: a price that
-    # grew goes back on the heap, one that fell is taken at once.
-    def price(row):
-        """(cost, column) of the row's cheapest +-1 pivot, or None."""
-        best = None
-        for c, x in row.items():
-            if x == 1 or x == -1:
-                count = len(colrows[c])
-                if best is None or count < best[0]:
-                    best = count, c
-        return best and ((len(row) - 1) * (best[0] - 1), best[1])
-
-    heap = []
-    for r, row in rows.items():
-        priced = price(row)
-        if priced:
-            heap.append((priced[0], r))
-    heapq.heapify(heap)
-    queued = {r for _, r in heap}  # the live rows with a heap entry
-    units = 0
-    while heap:
-        cost, p = heapq.heappop(heap)
-        if p not in queued:
-            continue  # the row is gone
-        priced = price(rows[p])
-        if priced is None:
-            queued.remove(p)
-            continue
-        now, c = priced
-        if now > cost:
-            heapq.heappush(heap, (now, p))
-            continue
-        queued.remove(p)
-        prow = rows.pop(p)
-        for j in prow:
-            colrows[j].discard(p)
-        changed = list(colrows[c])
-        for r in changed:
-            row = rows[r]
-            q = row[c] * prow[c]  # prow[c] is its own inverse
-            for j, x in prow.items():
-                if j in row:
-                    v = row[j] - q * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                        colrows[j].discard(r)
-                else:
-                    row[j] = -q * x
-                    colrows[j].add(r)
-            if not row:
-                del rows[r]
-                queued.discard(r)
-        for j in prow:
-            if not colrows[j]:
-                del colrows[j]
-        units += 1
-        # a changed row with an entry is priced when that entry pops
-        for r in changed:
-            if r in rows and r not in queued:
-                priced = price(rows[r])
-                if priced:
-                    queued.add(r)
-                    heapq.heappush(heap, (priced[0], r))
+        row: dict = {}
+        get = row.get
+        for c, x in vec.items():
+            if c in sub:
+                for j, y in sub[c].items():
+                    row[j] = get(j, 0) + x * y
+            else:
+                row[c] = get(c, 0) + x
+        # most rows reduce to zero: only a kept row is copied without zeros
+        values = row.values()
+        if 1 in values or -1 in values:
+            pivot({j: x for j, x in row.items() if x})
+        elif any(values):
+            row = {j: x for j, x in row.items() if x}
+            rest[id(row)] = row
+            for j in row:
+                users.setdefault(j, {})[id(row)] = row
+    ready = True
+    while ready:
+        ready = [row for row in rest.values() if has_unit(row)]
+        for row in ready:
+            if has_unit(row):  # an earlier pivot of this sweep may change it
+                del rest[id(row)]
+                for j in row:
+                    del users[j][id(row)]
+                pivot(row)
+    columns = list(dict.fromkeys(j for row in rest.values() for j in row))
     remainder = {}
-    for row in rows.values():
-        vec = [row.get(j, 0) for j in colrows]
-        if next(x for x in vec if x) < 0:
-            vec = [-x for x in vec]
-        remainder[tuple(vec)] = None
+    for row in rest.values():
+        if row:
+            vec = [row.get(j, 0) for j in columns]
+            if next(x for x in vec if x) < 0:
+                vec = [-x for x in vec]
+            remainder[tuple(vec)] = None
     diag, _, _ = snf(list(remainder))
     nonzero = [d for d in diag if d]
     torsion = [d for d in nonzero if d != 1]
-    return {"torsion": torsion, "free_rank": cols - units - len(nonzero)}
+    return {"torsion": torsion, "free_rank": cols - len(sub) - len(nonzero)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ share no code.  The window profiles and the per-step truncation
 comparison are pinned to their stable values.  The sparse invariants
 are checked against the diagonal of the dense certified Smith form, and
 the template-to-row builder against the Words that `instantiate` spells
-out, made dense by `relation_matrix`.  The one-entry-per-row elimination
-heap, the sparse-transform `snf` and the int-column builder are held to
-the per-entry heap, the dense-transform Smith form and the builder keyed
-by (family, fixed, index) columns that they replaced, kept here as
-oracles.
+out, made dense by `relation_matrix`.  The one-pass substitution core,
+the sparse-transform `snf` and the int-column builder are held to the
+row heap and the per-entry heap of Markowitz-priced pivots, the
+dense-transform Smith form and the builder keyed by (family, fixed,
+index) columns that they replaced, kept here as oracles.  The
+substitution core picks its pivots in row order, so its answer is also
+checked under permuted and reversed rows.
 """
 
 import dataclasses
@@ -297,6 +299,109 @@ def invariants_per_entry_heap(vectors, cols):
     return {"torsion": torsion, "free_rank": cols - units - len(nonzero)}
 
 
+def invariants_row_heap(vectors, cols):
+    """Oracle: unit-pivot elimination off a heap with one entry per live
+    row, priced by the Markowitz bound of its cheapest +-1 entry, then
+    `snf` of the remainder rows that differ up to sign."""
+    rows = {}
+    colrows = {}
+    seen = set()
+    for vec in vectors:
+        if not vec:
+            continue
+        # a row and its negation state the same relation: the key takes
+        # the sign that makes the entry in the lowest column positive
+        key = frozenset(vec.items() if vec[min(vec)] > 0 else ((c, -x) for c, x in vec.items()))
+        if key not in seen:
+            seen.add(key)
+            r = len(rows)
+            rows[r] = dict(vec)  # eliminated in place; the caller's row stays
+            for c in vec:
+                if c in colrows:
+                    colrows[c].add(r)
+                else:
+                    colrows[c] = {r}
+
+    # Markowitz: (row length - 1) * (column count - 1) bounds the fill-in
+    # of a pivot.  The heap holds one entry per live row, priced by its
+    # cheapest +-1 entry; a price goes stale when the row or one of its
+    # columns changes, so each popped entry is priced again: a price that
+    # grew goes back on the heap, one that fell is taken at once.
+    def price(row):
+        """(cost, column) of the row's cheapest +-1 pivot, or None."""
+        best = None
+        for c, x in row.items():
+            if x == 1 or x == -1:
+                count = len(colrows[c])
+                if best is None or count < best[0]:
+                    best = count, c
+        return best and ((len(row) - 1) * (best[0] - 1), best[1])
+
+    heap = []
+    for r, row in rows.items():
+        priced = price(row)
+        if priced:
+            heap.append((priced[0], r))
+    heapq.heapify(heap)
+    queued = {r for _, r in heap}  # the live rows with a heap entry
+    units = 0
+    while heap:
+        cost, p = heapq.heappop(heap)
+        if p not in queued:
+            continue  # the row is gone
+        priced = price(rows[p])
+        if priced is None:
+            queued.remove(p)
+            continue
+        now, c = priced
+        if now > cost:
+            heapq.heappush(heap, (now, p))
+            continue
+        queued.remove(p)
+        prow = rows.pop(p)
+        for j in prow:
+            colrows[j].discard(p)
+        changed = list(colrows[c])
+        for r in changed:
+            row = rows[r]
+            q = row[c] * prow[c]  # prow[c] is its own inverse
+            for j, x in prow.items():
+                if j in row:
+                    v = row[j] - q * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        colrows[j].discard(r)
+                else:
+                    row[j] = -q * x
+                    colrows[j].add(r)
+            if not row:
+                del rows[r]
+                queued.discard(r)
+        for j in prow:
+            if not colrows[j]:
+                del colrows[j]
+        units += 1
+        # a changed row with an entry is priced when that entry pops
+        for r in changed:
+            if r in rows and r not in queued:
+                priced = price(rows[r])
+                if priced:
+                    queued.add(r)
+                    heapq.heappush(heap, (priced[0], r))
+    remainder = {}
+    for row in rows.values():
+        vec = [row.get(j, 0) for j in colrows]
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        remainder[tuple(vec)] = None
+    diag, _, _ = snf(list(remainder))
+    nonzero = [d for d in diag if d]
+    torsion = [d for d in nonzero if d != 1]
+    return {"torsion": torsion, "free_rank": cols - units - len(nonzero)}
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -475,13 +580,24 @@ def sparse_row_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_row_sets())
-def test_row_heap_matches_the_per_entry_heap_and_the_dense_path(case):
+def test_substitution_matches_the_row_heap_the_per_entry_heap_and_the_dense_path(case):
     vectors, keys = case
     given_rows = [dict(v) for v in vectors]
     out = abelianize._invariants(vectors, len(keys))
     assert vectors == given_rows  # the input rows are read, never changed
+    assert out == invariants_row_heap(vectors, len(keys))
     assert out == invariants_per_entry_heap(vectors, len(keys))
     assert out == dense_invariants([[v.get(k, 0) for k in keys] for v in vectors], len(keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_row_sets(), st.data())
+def test_invariants_do_not_depend_on_the_row_order(case, data):
+    # pivots are taken in row order, so a permutation changes the pivots,
+    # never the cokernel
+    vectors, keys = case
+    permuted = data.draw(st.permutations(vectors))
+    assert abelianize._invariants(permuted, len(keys)) == abelianize._invariants(vectors, len(keys))
 
 
 def test_unit_elimination_leaves_a_small_remainder(monkeypatch):
@@ -504,7 +620,8 @@ def test_unit_elimination_leaves_a_small_remainder(monkeypatch):
 
 def test_invariants_match_dense_snf_on_catalog_matrices(monkeypatch):
     # every row set the window profiles and the WB4 step checks hand to
-    # the sparse core, made dense over its columns
+    # the sparse core, made dense over its columns, and reversed: pivots
+    # follow the row order, the answer must not
     seen = []
     core = abelianize._invariants
 
@@ -525,6 +642,7 @@ def test_invariants_match_dense_snf_on_catalog_matrices(monkeypatch):
         assert len(columns) <= cols
         matrix = [[v.get(c, 0) for c in columns] + [0] * (cols - len(columns)) for v in vectors]
         assert out == dense_invariants(matrix, cols)
+        assert core(vectors[::-1], cols) == out
 
 
 # ---------------------------------------------------------------------------
