@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import presets
 from .errors import EmptyWindow, ShapeMismatch, WindowTooNarrow
-from .presets import FinitePresentation, Presentation
+from .presets import FinitePresentation, GeneratorFamily, Presentation
 
 Matrix = list[list[int]]
 
@@ -423,7 +423,9 @@ def step_invariants(
     A relator instance is kept only when it stays inside the window both
     before and after the step, or when the step removed its relator; for
     an elimination the removed family is restricted to the indices whose
-    replacement words fit the window.
+    replacement words fit the window.  A removed block without a window
+    slot keeps its one column, and a replacement of it that fits at no m
+    raises ShapeMismatch.
 
     ``carry``, when given, is a dict that hands this step's after side on
     to the next call: its rows, its kept instance keys and its
@@ -440,7 +442,10 @@ def step_invariants(
     if record["op"] == "eliminate":
         key = (record["family"], tuple(record["fixed"]))
         _, lo, hi = presets.span(record["replacement"], doms_a)
-        doms_b[key] = (max(doms_b[key][0], lo), min(doms_b[key][1], hi))
+        if doms_b[key] is not None:
+            doms_b[key] = (max(doms_b[key][0], lo), min(doms_b[key][1], hi))
+        elif lo > hi:
+            raise ShapeMismatch("the replacement of %s fits at no m of the window" % GeneratorFamily(*key).name())
     if carry is None:
         carry = {}
     if carry.get("presentation") is before and carry["domains"] == doms_b:

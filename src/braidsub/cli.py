@@ -48,59 +48,11 @@ def _outdir() -> str:
     return path
 
 
-# C-level encoders: ``indent`` would drop json.dumps to its pure-Python one
-_encode_str = json.encoder.encode_basestring_ascii
-_encode_scalar = json.JSONEncoder(sort_keys=True).encode
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
-        key = _encode_scalar(key)
-    return _encode_str(key) + ": "
-
-
-def _json_parts(obj, newline: str, emit) -> None:
-    """Pass the ``indent=2`` text of obj, nested after ``newline``, to emit
-    part by part."""
-    if isinstance(obj, str):
-        emit(_encode_str(obj))
-    elif isinstance(obj, rewriting.Cases):
-        _case_rows(obj, newline, emit)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            emit(sep)
-            _json_parts(value, inner, emit)
-            sep = "," + inner
-        emit(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            emit(sep + _json_key(key))
-            _json_parts(value, inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
-    else:
-        emit(_encode_scalar(obj))
-
-
-def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, from the C
-    encoders; every part is collected in one list and joined once."""
-    parts: list = []
-    _json_parts(obj, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
+def _write_json(obj, out) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline,
+    streamed part by part into ``out``."""
+    json.dump(obj, out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 @contextlib.contextmanager
@@ -138,7 +90,7 @@ def cmd_present(args) -> int:
             "generators": [str(s) for s in fp.generators],
             "relators": [{"label": label, "word": print_word(w)} for label, w in fp.relators],
         }
-        sys.stdout.write(_dump_json(obj))
+        _write_json(obj, sys.stdout)
     else:
         sys.stdout.write(print_finite(fp))
     return 0
@@ -159,7 +111,7 @@ def cmd_derive(args) -> int:
                 "n": args.n,
                 "presentation": print_presentation(assembled),
             }
-            sys.stdout.write(_dump_json(obj))
+            _write_json(obj, sys.stdout)
         else:
             sys.stdout.write(print_presentation(assembled))
         return 0
@@ -177,7 +129,7 @@ def cmd_derive(args) -> int:
         "notes": notes,
     }
     if args.format == "json":
-        sys.stdout.write(_dump_json(obj))
+        _write_json(obj, sys.stdout)
     else:
         sys.stdout.write(
             "derived %d instances, stated %d, window [%d, %d]\n"
@@ -204,54 +156,49 @@ def _lemma_group(lemma: str, override) -> str:
     return presets.LEMMA_TABLES[lemma][2] if lemma in presets.LEMMA_TABLES else "vb"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
 _CASE_KEYS = ("engine_word", "paper_word", "params", "tier", "verdict")
-
-
-def _plan_rows(cases: rewriting.Cases, form):
-    """Yield ``(form(plan), m)`` for every row of a verify view, in the text
-    order of the params: the text before m, then m in ``str`` order, then
-    the text after m.  That is the order of the params texts themselves,
-    since no text before m is a proper prefix of another and every text
-    after m begins below the digits."""
-    ms = sorted(range(cases.m_range[0], cases.m_range[1] + 1), key=str)
-    groups: dict = {}
-    for plan in cases.plans:
-        groups.setdefault(plan.params.partition("%(")[0], []).append(plan)
-    for _, plans in sorted(groups.items()):
-        forms = [(form(plan), plan.lo, plan.hi) for plan in sorted(plans, key=lambda plan: plan.params)]
-        for m in ms if "%(" in plans[0].params else (0,):
-            for f, lo, hi in forms:
-                if lo <= m <= hi:
-                    yield f, m
 
 
 def _json_row(plan: rewriting.Plan, newline: str) -> tuple:
     """A verify plan's JSON row, nested after ``newline``: a ``%`` form and
-    the fill it takes at m.  The form holds the plan's own patterns, or,
-    when a text of the plan needs escaping, takes every field through
-    ``_encode_str``."""
+    the fill it takes at m.  The form holds the plan's texts, each encoded
+    once; the fills need no escaping, being digits, signs and s1 runs."""
     inner = newline + "  "
-    form = "{" + inner + ("," + inner).join(['"%s": %%(%s)s' % (key, key) for key in _CASE_KEYS]) + newline + "}"
-    tier, verdict = plan.tier.replace("%", "%%"), plan.verdict.replace("%", "%%")
-    texts = dict(zip(_CASE_KEYS, (plan.engine, plan.paper, plan.params, tier, verdict)))
-    if all(_encode_str(text) == '"%s"' % text for text in texts.values()):
-        return form % {key: '"%s"' % text for key, text in texts.items()}, plan.fill
-    return form, lambda m: {key: _encode_str(text) for key, text in plan.row(m).items()}
-
-
-def _case_rows(cases: rewriting.Cases, newline: str, emit) -> None:
-    inner = newline + "  "
-    sep = "[" + inner
-    for (form, fill), m in _plan_rows(cases, lambda plan: _json_row(plan, inner)):
-        emit(sep + form % fill(m))
-        sep = "," + inner
-    emit("[]" if sep[0] == "[" else newline + "]")
+    texts = (plan.engine, plan.paper, plan.params, plan.tier.replace("%", "%%"), plan.verdict.replace("%", "%%"))
+    fields = ['"%s": %s' % (key, _encode_str(text)) for key, text in zip(_CASE_KEYS, texts)]
+    return "{" + inner + ("," + inner).join(fields) + newline + "}", plan.fill
 
 
 def _text_line(plan: rewriting.Plan) -> tuple:
     """A verify plan's text line: a ``%`` form and the fill it takes at m."""
     tier, verdict = (plan.tier or "-").replace("%", "%%"), plan.verdict.replace("%", "%%")
     return "  %s  tier=%s  %s\n" % (plan.params, tier, verdict), plan.fill
+
+
+def _row_texts(cases: rewriting.Cases, form):
+    """Yield the text of every row of a verify view in its printed order,
+    from ``form(plan)``: a ``%`` form and the fill it takes at m."""
+    forms = {id(plan): form(plan) for plan in cases.plans}
+    for plan, m in cases.walk():
+        text, fill = forms[id(plan)]
+        yield text % fill(m)
+
+
+def _write_table(report: dict, newline: str, write) -> None:
+    """Write one verify table as ``json.dumps(report, indent=2,
+    sort_keys=True)`` nested after ``newline``, with its rows streamed
+    from their plans.  "cases" sorts first among the table's keys, so the
+    rows go first and json.dumps writes the small keys after them."""
+    inner = newline + "  "
+    write("{" + inner + '"cases": ')
+    sep = "[" + inner + "  "
+    for row in _row_texts(report["cases"], lambda plan: _json_row(plan, inner + "  ")):
+        write(sep + row)
+        sep = "," + inner + "  "
+    rest = json.dumps({key: value for key, value in report.items() if key != "cases"}, indent=2, sort_keys=True)
+    # every newline json.dumps writes is indentation: it escapes those in strings
+    write(("[]" if sep[0] == "[" else inner + "]") + "," + rest[1:].replace("\n", newline))
 
 
 def cmd_verify(args) -> int:
@@ -279,7 +226,7 @@ def cmd_verify(args) -> int:
                 fh.write(head)
             else:
                 fh.write("," + newline)
-            _json_parts(report, newline, fh.write)
+            _write_table(report, newline, fh.write)
             reports.append(report)
         fh.write(tail)
     mismatches = sum(plan.size for rep in reports for plan in rep["cases"].plans if plan.verdict == "MISMATCH")
@@ -287,7 +234,7 @@ def cmd_verify(args) -> int:
         for report in reports:
             cases = report["cases"]
             sys.stdout.write("%s (%s, n=%d): %d cases\n" % (report["lemma"], report["group"], report["n"], len(cases)))
-            sys.stdout.writelines(form % fill(m) for (form, fill), m in _plan_rows(cases, _text_line))
+            sys.stdout.writelines(_row_texts(cases, _text_line))
             sys.stdout.writelines("  note: %s\n" % note for note in report["notes"])
         sys.stdout.write("mismatches: %d\n" % mismatches)
     return 1 if mismatches else 0
@@ -331,7 +278,7 @@ def cmd_tietze(args) -> int:
             "generators": _summary_obj(result.summary),
             "diff": result.diff,
         }
-        sys.stdout.write(_dump_json(obj))
+        _write_json(obj, sys.stdout)
         return 0
     sys.stdout.write("script %s (group %s, n=%d)\n" % (result.name, result.group, result.n))
     sys.stdout.write("\ninitial\n%s" % print_presentation(result.initial))
@@ -374,7 +321,7 @@ def cmd_abelianize(args) -> int:
         "matrix_dims": [res["relator_instances"], res["generators"]],
     }
     if args.format == "json":
-        sys.stdout.write(_dump_json(obj))
+        _write_json(obj, sys.stdout)
     else:
         sys.stdout.write(
             "group %s, n=%d, window [%d, %d]%s\n"
@@ -507,8 +454,7 @@ def build_report() -> dict:
 def cmd_report(args) -> int:
     obj = build_report()
     with _report_file("report.json", args.format == "json") as fh:
-        _json_parts(obj, "\n", fh.write)
-        fh.write("\n")
+        _write_json(obj, fh)
     if args.format != "json":
         for r in obj["rows"]:
             sys.stdout.write("%-4s %-16s %s\n" % (r["status"], r["claim"], r["statement"]))

@@ -19,7 +19,6 @@ template once with ``template_canon_key``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterable, NamedTuple
 
@@ -461,25 +460,34 @@ class Plan(NamedTuple):
 
 class Cases:
     """The rows of one statement table: a sized, re-iterable view of its
-    plans.  Iterating it yields each row as a dict, plan by plan, or with
-    ``m_outer`` the windowed plans' rows at each m in turn and then the
-    fixed rows."""
+    plans.  Iterating it yields each row as a dict, in the printed order
+    of ``walk``."""
 
-    def __init__(self, plans: list[Plan], m_range: tuple[int, int], m_outer: bool = False):
-        self.plans, self.m_range, self._m_outer = plans, m_range, m_outer
+    def __init__(self, plans: list[Plan], m_range: tuple[int, int]):
+        self.plans, self.m_range = plans, m_range
 
     def __len__(self) -> int:
         return sum(plan.size for plan in self.plans)
 
     def __iter__(self):
-        plans, (lo, hi) = self.plans, self.m_range
-        pairs = ((p, m) for p in plans for m in range(p.lo, p.hi + 1))
-        if self._m_outer:
-            pairs = itertools.chain(
-                ((p, m) for m in range(lo, hi + 1) for p in plans if "%(" in p.params and p.lo <= m <= p.hi),
-                ((p, 0) for p in plans if "%(" not in p.params),
-            )
-        return (p.row(m) for p, m in pairs)
+        return (plan.row(m) for plan, m in self.walk())
+
+    def walk(self):
+        """Yield ``(plan, m)`` for every row, in the text order of the
+        params: the text before m, then m in ``str`` order, then the text
+        after m.  That is the order of the params texts themselves, since
+        no text before m is a proper prefix of another and every text after
+        m begins below the digits."""
+        ms = sorted(range(self.m_range[0], self.m_range[1] + 1), key=str)
+        groups: dict = {}
+        for plan in self.plans:
+            groups.setdefault(plan.params.partition("%(")[0], []).append(plan)
+        for _, plans in sorted(groups.items()):
+            spans = [(plan, plan.lo, plan.hi) for plan in sorted(plans, key=lambda plan: plan.params)]
+            for m in ms if "%(" in plans[0].params else (0,):
+                for plan, lo, hi in spans:
+                    if lo <= m <= hi:
+                        yield plan, m
 
 
 def _closed_form_verdict(engine: Word, stated: Word) -> tuple[str, str]:
@@ -617,7 +625,7 @@ def verify_lemma(lemma: str, group: str, n: int, m_range: tuple[int, int] = (-2,
         raise ParseError("unknown statement id %r" % lemma)
     notes: list[str] = []
     if lemma == "L3_1":
-        cases = Cases(_closed_form_plans(n, m_range), m_range, m_outer=True)
+        cases = Cases(_closed_form_plans(n, m_range), m_range)
     elif lemma == "CON":
         cases = Cases(_conjugation_plans(n), m_range)
     else:

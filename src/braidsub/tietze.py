@@ -137,8 +137,7 @@ def eliminate_family(p: Presentation, family: str, fixed: tuple, via: str):
         "family": family,
         "fixed": list(fixed),
         "replacement": replacement,
-        "text": "eliminate %s(m%s) via %s: %s"
-        % (family, "".join(",%d" % v for v in fixed), via, print_template(replacement)),
+        "text": "eliminate %s via %s: %s" % (p.generators[k].name(), via, print_template(replacement)),
     }
     return p2, record
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidsub import abelianize, presets, rewriting
+from braidsub import abelianize, presets, rewriting, tietze
 from braidsub.abelianize import (
     abelian_invariants,
     abelianization,
@@ -1129,6 +1129,28 @@ def test_step_reuse_needs_the_same_kept_instances():
     assert carry["kept"] == [("sq", m) for m in range(-2, 3)]
     inv = abelianize.step_invariants(second, third, {"op": "rotate"}, (-2, 2), carry)
     assert inv[0] == inv[1] == {"torsion": [2] * 3, "free_rank": 7}
+
+
+C_PAIR = (
+    "group: wb\nn: 5\ngenerators:\n  c(3)\n  c(4)\n  f(m,0) for m in Z\nrelators:\n  # pair\n  %s\n"
+    "  # conj\n  c(4) f(m+1,0) c(4)^-1 f(m,0)^-1\n  # cube\n  f(m,0) f(m,0) f(m,0)\n"
+)
+
+
+def test_eliminating_a_block_without_a_window_slot_keeps_its_column():
+    # c(4) := c(3) leaves f(m) = f(m+1) and its cube, [3], and c(3) free on
+    # both sides; the c(4) column is one column, not a window to narrow
+    p = parse_presentation(C_PAIR % "c(4) c(3)^-1")
+    p2, rec = tietze.eliminate_family(p, "c", (4,), "pair")
+    want = {"torsion": [3], "free_rank": 1}
+    assert abelianize.step_invariants(p, p2, rec, (-2, 2)) == (want, want)
+    result = tietze.ScriptResult("PAIR", "wb", 5, p, [(rec, p2)], p2, None, None)
+    assert check_script_truncation(result)["agree"]
+    # a replacement that fits at no m of the window leaves the column unmatched
+    p = parse_presentation(C_PAIR % "c(4) f(9,0)^-1")
+    p2, rec = tietze.eliminate_family(p, "c", (4,), "pair")
+    with pytest.raises(ShapeMismatch, match=r"^the replacement of c\(4\) fits at no m of the window$"):
+        abelianize.step_invariants(p, p2, rec, (-2, 2))
 
 
 def test_derived_catalog_invariants_match_reduced():

@@ -7,6 +7,7 @@ temporary BRAIDSUB_OUTDIR.
 import contextlib
 import errno
 import hashlib
+import io
 import json
 import operator
 import os
@@ -117,7 +118,7 @@ def whole_report_verify(args) -> int:
         group = cli._lemma_group(lemma, args.group)
         reports.append(_sorted_report(rewriting.verify_lemma(lemma, group, args.n, args.m_range)))
     obj = reports[0] if args.lemma != "ALL" else {"n": args.n, "lemmas": reports}
-    text = cli._dump_json(obj)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(os.path.join(cli._outdir(), "verify-%s.json" % args.lemma), "w", encoding="utf-8") as fh:
         fh.write(text)
     mismatches = 0
@@ -212,32 +213,52 @@ def test_the_plan_walk_follows_the_text_order_of_the_params():
                              "equal-after-normalization", lo, hi, rewriting._runs((1, 0), (-1, 0)))
               for i in (12, 9, 11, 10) for lo, hi in ((-12, -1), (0, 0), (1, 12))]
     cases = rewriting.Cases(plans, (-12, 12))
-    walked = [row(m) for row, m in cli._plan_rows(cases, operator.attrgetter("row"))]
+    walked = [plan.row(m) for plan, m in cases.walk()]
     params = [case["params"] for case in walked]
-    assert len(walked) == len(cases) == 10 * 25 + 3 + 4 * 25
-    assert params == sorted(case["params"] for case in cases)
-    assert sorted(walked, key=operator.itemgetter("params")) == _sorted_report({"cases": cases})["cases"]
+    plan_by_plan = [plan.row(m) for plan in plans for m in range(plan.lo, plan.hi + 1)]
+    assert len(walked) == len(cases) == len(plan_by_plan) == 10 * 25 + 3 + 4 * 25
+    assert list(cases) == walked == sorted(plan_by_plan, key=operator.itemgetter("params"))
+    assert len(set(params)) == len(params)
     assert params[:4] == ["c(10)", "c(12)", "c(9)", "g(-1,10)"]
     assert params[4:7] == ["g(-1,11)", "g(-1,12)", "g(-1,9)"]
     assert params[103:109] == ["i=1,m=-1,twist=0", "i=1,m=-1,twist=1", "i=1,m=-10,twist=0",
                                "i=1,m=-10,twist=1", "i=1,m=-11,twist=0", "i=1,m=-11,twist=1"]
 
 
+@pytest.mark.parametrize("group", [(), ("--group", "wb")], ids=["default", "wb"])
+def test_verify_lemma_yields_the_report_rows_in_order(capsys, outdir, group):
+    for n in range(3, 7):
+        for lo, hi in ((-3, 3), (-12, 12)):
+            code, out, _ = run(capsys, "verify", "--lemma", "ALL", *group, "--n", str(n),
+                               "--m-range", "%d..%d" % (lo, hi), "--format", "json")
+            assert code == 0
+            for table in json.loads(out)["lemmas"]:
+                cases = rewriting.verify_lemma(table["lemma"], table["group"], n, (lo, hi))["cases"]
+                assert table["cases"] == list(cases) and len(cases) == len(table["cases"]), (table["lemma"], n, lo)
+
+
 def test_verify_rows_escape_the_plans_that_need_it():
-    # a plan whose texts JSON must escape takes every field through the
-    # encoder; the others keep their one form, also with a % in a verdict
+    # every text of a plan goes through the encoder once, so quotes,
+    # control and non-ASCII characters are escaped; a % in a verdict stays
     plans = [
         rewriting.Plan('a(%(0)s) "q"', "a(%(1)s)", "\u00e9=1,m=%(0)s", "a", "exact", -2, 2),
         rewriting.Plan("a(%(0)s)", "a(%(2)s)^-1", "i=1,m=%(0)s", "c", "100% sure", -2, 2),
         rewriting.Plan("s1\tr1", "s1", "c(3)", "", "MISMATCH"),
     ]
     cases = rewriting.Cases(plans, (-2, 2))
+    small = {"group": "vb", "lemma": "L\u00e9", "m_range": [-2, 2], "n": 3, "notes": ['a "note"', "\t"]}
+    rows = sorted((plan.row(m) for plan in plans for m in range(plan.lo, plan.hi + 1)),
+                  key=operator.itemgetter("params"))
+    for newline in ("\n", "\n    "):
+        parts = []
+        cli._write_table({"cases": cases, **small}, newline, parts.append)
+        whole = json.dumps({"cases": rows, **small}, indent=2, sort_keys=True)
+        assert "".join(parts) == whole.replace("\n", newline)
     parts = []
-    cli._json_parts({"cases": cases}, "\n", parts.append)
-    rows = sorted(cases, key=operator.itemgetter("params"))
-    assert "".join(parts) == json.dumps({"cases": rows}, indent=2, sort_keys=True)
+    cli._write_table({"cases": rewriting.Cases([], (-2, 2)), **small}, "\n", parts.append)
+    assert "".join(parts) == json.dumps({"cases": [], **small}, indent=2, sort_keys=True)
     assert rows[0]["verdict"] == "MISMATCH" and rows[1]["verdict"] == "100% sure"
-    lines = [form % fill(m) for (form, fill), m in cli._plan_rows(cases, cli._text_line)]
+    lines = list(cli._row_texts(cases, cli._text_line))
     assert lines == ["  %s  tier=%s  %s\n" % (row["params"], row["tier"] or "-", row["verdict"]) for row in rows]
 
 
@@ -469,6 +490,12 @@ def test_outputs_are_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+def written_json(obj) -> str:
+    out = io.StringIO()
+    cli._write_json(obj, out)
+    return out.getvalue()
+
+
 json_text = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters(), max_size=6)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | json_text,
@@ -483,24 +510,24 @@ json_values = st.recursive(
 @settings(deadline=None)
 @given(json_values)
 def test_dump_json_matches_indented_json_dumps(obj):
-    # the report writer uses the C encoders, json.dumps(indent=2) the oracle
-    assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # the report writer streams with json.dump, json.dumps is the oracle
+    assert written_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_dump_json_keys_and_errors_follow_json_dumps():
     for obj in ({1: 2, -3: [4]}, {2.5: {}, -1.0: "x"}, {None: 0}, {True: 1, False: [1]}, {"": {"": ""}}):
-        assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert written_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
     # rows of strings at every depth; the equal keys 1, True and 1.0 are
     # spelled apart
     rows = [{"b": "", "a": "1"}, {"a": "\u00e9", "b": "\n"}, {"b": "x", "a": "y"}]
     for obj in (rows, {"rows": rows, "deeper": [rows]}, [{1: "a"}, {True: "a"}, {1.0: "a"}]):
-        assert cli._dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert written_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
     for bad in ({"a": {1, 2}}, [1, object()], {(1, 2): 3}, {"x": "y", "z": b"w"}, {1: 2, "1": 3},
                 {1: "a", "1": "b"}):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            cli._dump_json(bad)
+            written_json(bad)
 
 
 # sha256 of the stdout of the statement checks, the catalog assembly and

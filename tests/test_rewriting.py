@@ -9,6 +9,7 @@ plus the property that the two independent derivation routes agree.
 """
 
 import dataclasses
+import operator
 
 import pytest
 from hypothesis import example, given
@@ -853,13 +854,16 @@ def test_verify_lemma_raises_on_a_stated_window_letter_at_a_constant_index(monke
         verify_lemma("L7", "vb", 4)
 
 
+_params = operator.itemgetter("params")
+
+
 def test_verify_lemma_matches_per_m_derivation():
     runs = [(lemma, "vb", n) for lemma, (_, _, needs) in LEMMA_TABLES.items() if needs == "vb" for n in (4, 5)]
     runs += [("L5_2", "wb", 5)] + [(lemma, "wb", 4) for lemma in LEMMA_TABLES]
     tiers = set()
     for lemma, group, n in runs:
         got = list(verify_lemma(lemma, group, n, (-3, 3))["cases"])
-        assert got == _verify_cases_per_m(lemma, group, n, (-3, 3)), (lemma, group, n)
+        assert got == sorted(_verify_cases_per_m(lemma, group, n, (-3, 3)), key=_params), (lemma, group, n)
         tiers |= {case["tier"] for case in got}
     assert tiers == {"a", "b", "c"}
 
@@ -934,8 +938,8 @@ def _verify_cases_by_case(lemma, group, n, m_range):
 
 
 def test_verify_plans_yield_the_case_by_case_rows():
-    # iterating the view gives the rows in the order they were always
-    # derived, and len() counts them without building them
+    # iterating the view gives the rows in the printed order, that of
+    # their params, and len() counts them without building them
     seen = set()
     for n in range(3, 7):
         for lemma in presets.LEMMA_IDS:
@@ -944,7 +948,8 @@ def test_verify_plans_yield_the_case_by_case_rows():
                     cases = verify_lemma(lemma, group, n, m_range)["cases"]
                     oracle = _verify_cases_by_case(lemma, group, n, m_range)
                     rows = list(cases)
-                    assert rows == oracle, (lemma, group, n, m_range)
+                    assert rows == sorted(oracle, key=_params), (lemma, group, n, m_range)
+                    assert len({row["params"] for row in rows}) == len(rows), (lemma, group, n, m_range)
                     assert list(cases) == rows and len(cases) == len(rows), (lemma, group, n, m_range)
                     seen |= {case["tier"] for case in oracle}
     assert seen == {"a", "b", "c"}
@@ -986,7 +991,7 @@ def _closed_form_cases_per_m(n, m_range):
 def test_closed_forms_match_per_m_expansion():
     for n in range(3, 9):
         got = list(verify_lemma("L3_1", "vb", n, (-40, 40))["cases"])
-        assert got == _closed_form_cases_per_m(n, (-40, 40)), n
+        assert got == sorted(_closed_form_cases_per_m(n, (-40, 40)), key=_params), n
     assert {case["tier"] for case in got} == {"a", "b"}
 
 
@@ -998,7 +1003,7 @@ def test_closed_forms_at_the_edges_of_the_m_range():
     runs += [(n, r) for n in (3, 8) for r in ((-3, 3), (-1, 0), (-2, -1), (0, 1))]
     for n, m_range in runs:
         got = list(verify_lemma("L3_1", "vb", n, m_range)["cases"])
-        assert got == _closed_form_cases_per_m(n, m_range), (n, m_range)
+        assert got == sorted(_closed_form_cases_per_m(n, m_range), key=_params), (n, m_range)
     assert [case["params"] for case in verify_lemma("L3_1", "vb", 5, (1, 0))["cases"]] == ["c(3)", "c(4)"]
     assert list(verify_lemma("L3_1", "vb", 3, (1, 0))["cases"]) == []
 

@@ -171,6 +171,14 @@ def test_eliminate_produces_reference_templates():
     assert set(texts) == {"b0-recurrence", "b1-recurrence", "f-cube"}
 
 
+def test_an_eliminate_record_names_its_block_as_printed():
+    gens = (GeneratorFamily("c", (3,)), GeneratorFamily("c", (4,)), GeneratorFamily("b", (1,)))
+    pair = FamilyInstance("pair", parse_template("c(4) c(3)^-1"))
+    p = Presentation("wb", 5, gens, (pair, FamilyInstance("def", parse_template("b(m,1) c(3)"))))
+    assert eliminate_family(p, "c", (4,), "pair")[1]["text"] == "eliminate c(4) via pair: c(3)"
+    assert eliminate_family(p, "b", (1,), "def")[1]["text"] == "eliminate b(m,1) via def: c(3)^-1"
+
+
 def test_eliminate_absent_generator_is_a_pure_deletion():
     p = Presentation(
         "vb",
